@@ -1,13 +1,5 @@
 """Growth dimensions and frequency checks for harmonic functions on cones."""
 
-import os as _os
-
-# CONEH_THREADS caps the BLAS/OpenMP parallelism of the dense eigensolver;
-# it must be applied before numpy loads its backend.
-if "CONEH_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["CONEH_THREADS"])
-
 from .errors import (ConehError, DegenerateInput, InvalidArgument,
                      NumericFailure, PreconditionViolation,
                      ResolutionInsufficient, UnsupportedCrossSection)

@@ -28,6 +28,15 @@ EXIT_RESOLUTION = 2
 EXIT_VERIFICATION = 3
 
 
+def _number(convert, arg: str, text: str):
+    try:
+        return convert(arg)
+    except ValueError:
+        raise InvalidArgument(
+            f"cross-section {text!r}: {arg!r} is not a valid "
+            f"{convert.__name__}") from None
+
+
 def parse_cross_section(text: str) -> CrossSection:
     """Grammar: sphere:<d> | circle:<L> | metric-circle:<file> | spectrum:<file>."""
     kind, sep, arg = text.partition(":")
@@ -35,9 +44,9 @@ def parse_cross_section(text: str) -> CrossSection:
         raise InvalidArgument(
             f"cross-section {text!r} must look like kind:argument")
     if kind == "sphere":
-        return RoundSphere(int(arg))
+        return RoundSphere(_number(int, arg, text))
     if kind == "circle":
-        return Circle(float(arg))
+        return Circle(_number(float, arg, text))
     if kind == "metric-circle":
         return MetricCircleNumeric(eigensolver.load_density(arg))
     if kind == "spectrum":
@@ -80,7 +89,7 @@ def _cs_config(args) -> dict:
 def cmd_spectrum(args) -> int:
     X = parse_cross_section(args.cross_section)
     spec = X.spectrum_upto(args.lam_max)
-    bars = X.error_bars if isinstance(X, MetricCircleNumeric) else None
+    bars = X.error_bars(spec) if isinstance(X, MetricCircleNumeric) else None
     doc = _report(_cs_config(args) | {"lambda_max": args.lam_max},
                   {"spectrum": spec.to_json(measure=X.measure(),
                                             error_bars=bars)})

@@ -1,12 +1,15 @@
-"""Certified 1D Laplace-Beltrami eigenvalues for metric circles.
+"""Metric circles: the certified spectrum in closed form, plus a discretization.
 
-A metric circle with line element a(theta) dtheta is isometric to a round
-circle of its total length L, so the operator is discretized on a uniform
-arclength grid of m points: conservative second differences built from
-per-edge conductances (all edges have length h = L/m after the arclength
-resampling, which absorbs the variable density).  Eigenvalues at two
-resolutions are Richardson-extrapolated (the discretization error is
-O(h^2)) to produce continuum eigenvalues with certified error bars.
+A metric circle with line element a(theta) dtheta is isometric to the round
+circle of its total length L, so its Laplace spectrum is (2*pi*j/L)^2 with
+multiplicities 1, 2, 2, ...  ``certified_spectrum`` returns that closed form
+with error bars covering only the float rounding of L and of each
+eigenvalue.
+
+The finite-difference discretization (``assemble`` / ``eigenvalues``: a
+conservative second-difference operator on a uniform arclength grid of m
+points, solved densely) is kept as an independent oracle: its eigenvalues
+converge to the closed form at O(h^2), which the tests check.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericFailure, ResolutionInsufficient
-from .spectra import CLUSTER_RTOL, Spectrum
-
-#: Resolution cap for the dense solver.
-MAX_RESOLUTION = 4096
-
-#: Target error bar: bars must satisfy bar <= CERT_RTOL * max(1, lambda).
-CERT_RTOL = 1e-6
+from .errors import InvalidArgument, NumericFailure
+from .spectra import MetricCircleNumeric, Spectrum
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,9 @@ class MetricCircle:
 
     @property
     def total_length(self) -> float:
-        # periodic rectangle rule == trapezoid rule on a closed curve
-        return 2.0 * math.pi * sum(self.density) / len(self.density)
+        # periodic rectangle rule == trapezoid rule on a closed curve; fsum
+        # rounds the sample sum once
+        return 2.0 * math.pi * math.fsum(self.density) / len(self.density)
 
     @classmethod
     def constant(cls, length: float, samples: int = 64) -> "MetricCircle":
@@ -128,94 +126,16 @@ def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     return w[:count]
 
 
-def _cluster(values: np.ndarray, bars: np.ndarray
-             ) -> tuple[list[tuple[float, int]], list[float]]:
-    """Group near-equal eigenvalues into multiplicity entries."""
-    entries: list[tuple[float, int]] = []
-    grouped_bars: list[float] = []
-    group: list[float] = []
-    gbar = 0.0
-    for v, b in zip(values, bars):
-        if group and abs(v - group[-1]) > CLUSTER_RTOL * max(1.0, abs(v)):
-            entries.append((float(np.mean(group)), len(group)))
-            grouped_bars.append(float(gbar))
-            group, gbar = [], 0.0
-        group.append(float(v))
-        gbar = max(gbar, float(b))
-    if group:
-        entries.append((float(np.mean(group)), len(group)))
-        grouped_bars.append(float(gbar))
-    return entries, grouped_bars
-
-
 def certified_spectrum(circle: MetricCircle, lambda_max: float
                        ) -> tuple[Spectrum, list[float]]:
-    """All continuum eigenvalues <= lambda_max with certified error bars.
+    """All eigenvalues <= lambda_max with error bars, one bar per entry.
 
-    Solves at resolutions m and 2m and Richardson-extrapolates; m doubles
-    until every bar satisfies bar <= 1e-6 * max(1, lambda) or the 4096
-    cap is reached (then ResolutionInsufficient with the achieved bars).
-    A third resolution, once available, checks the observed O(h^2) ratio;
-    outside [2, 8] the bar falls back to the raw two-resolution difference.
+    The closed form of the round circle of length ``circle.total_length``;
+    each bar bounds the float rounding of its eigenvalue (0 for the kernel).
     """
-    if lambda_max <= 0:
-        raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
-    L = circle.total_length
-    # expected count of continuum eigenvalues <= lambda_max, plus slack
-    count = 1 + 2 * (int(L * math.sqrt(lambda_max) / (2.0 * math.pi)) + 2)
-
-    solved: dict[int, np.ndarray] = {}
-
-    def eigs(m: int) -> np.ndarray:
-        if m not in solved:
-            solved[m] = eigenvalues(assemble(circle, m), min(count, m))
-        return solved[m]
-
-    m = 64
-    last = None
-    while True:
-        e1, e2 = eigs(m), eigs(2 * m)
-        ncmp = min(len(e1), len(e2))
-        diff = np.abs(e2[:ncmp] - e1[:ncmp])
-        extrap = e2[:ncmp] + (e2[:ncmp] - e1[:ncmp]) / 3.0
-        bars = diff / 3.0
-        if m // 2 in solved:
-            e0 = solved[m // 2]
-            n0 = min(len(e0), ncmp)
-            prev_diff = np.abs(e1[:n0] - e0[:n0])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = prev_diff / np.where(diff[:n0] > 0, diff[:n0], np.inf)
-            bad = (ratio < 2.0) | (ratio > 8.0)
-            # ignore the exact kernel eigenvalue, where both diffs are rounding
-            bad &= prev_diff > 1e-12 * max(1.0, lambda_max)
-            bars[:n0] = np.where(bad, diff[:n0], bars[:n0])
-        keep = extrap <= lambda_max * (1.0 + 1e-12)
-        vals, bs = extrap[keep], bars[keep]
-        last = (vals, bs)
-        resolved = ncmp >= min(count, 2 * m)  # all requested modes present
-        if resolved and np.all(bs <= CERT_RTOL * np.maximum(1.0, np.abs(vals))):
-            break
-        if 2 * m >= MAX_RESOLUTION:
-            raise ResolutionInsufficient(
-                f"error bars not certified at m = {MAX_RESOLUTION} "
-                f"for lambda_max = {lambda_max}",
-                certified_bound=None, error_bars=[float(b) for b in bs])
-        m *= 2
-
-    vals, bs = last
-    # The kernel (constants) is exact in exact arithmetic; numerically it
-    # carries rounding noise on the scale of eps * ||A|| for the finest
-    # operator solved.  Snap anything below that scale to 0.
-    h_fine = L / (2 * m)
-    zero_tol = max(1e-9, 64.0 * np.finfo(float).eps * 4.0 / h_fine ** 2)
-    vals = vals.copy()
-    vals[np.abs(vals) <= zero_tol] = 0.0
-    entries, gbars = _cluster(vals, bs)
-    if not entries or entries[0][0] != 0.0:
-        raise NumericFailure(
-            "discrete kernel (constant eigenvector) not found at 0")
-    spec = Spectrum(2, tuple(entries), lambda_max)
-    return spec, gbars
+    X = MetricCircleNumeric(circle)
+    spec = X.spectrum_upto(lambda_max)
+    return spec, X.error_bars(spec)
 
 
 # -- density file interchange ----------------------------------------------

@@ -153,15 +153,18 @@ def hk_staircase(X: CrossSection, n: int, k_max: float,
     _check_dim(X, n)
     if k_max <= 0:
         raise InvalidArgument(f"k_max must be positive, got {k_max}")
-    res = [b for b in X.resonant_set_upto(k_max).exponents if b > 0]
+    rset = X.resonant_set_upto(k_max)
     steps: list[StaircaseStep] = []
     prev_h = 1
     lo = 0.0
     prev_jump = 0
-    for beta in res:
+    for beta, lam in zip(rset.exponents, rset.eigenvalues):
+        if beta <= 0:
+            continue
         if beta > lo:
             steps.append(StaircaseStep(lo, beta, prev_h, prev_jump))
-        h = X.counting(eigenvalue_from_exponent(beta, n))
+        # count at the stored eigenvalue: beta*beta may round below it
+        h = X.counting(lam)
         prev_jump = h - prev_h
         prev_h = h
         lo = beta

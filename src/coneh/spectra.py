@@ -7,8 +7,8 @@ dimension bounds.  Four concrete variants are provided:
 
 * ``RoundSphere(d)``   -- the unit d-sphere (closed-form spectrum),
 * ``Circle(L)``        -- a circle of circumference L <= 2*pi (n = 2),
-* ``MetricCircleNumeric`` -- a variable-density circle backed by the
-  certified finite-difference eigensolver,
+* ``MetricCircleNumeric`` -- a variable-density circle, counted as the
+  round circle of its total length,
 * ``ExplicitSpectrum`` -- a user-supplied truncated spectrum plus measure.
 
 All types are immutable after construction and every operation is pure.
@@ -19,19 +19,28 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .errors import InvalidArgument, ResolutionInsufficient
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
-
-#: Two numerically computed eigenvalues closer than this (relative to
-#: max(1, lambda)) are merged into one multiplicity group.
-CLUSTER_RTOL = 1e-8
 
 #: Default absolute tolerance on beta for resonance detection.  Closed-form
 #: spectra are exact; callers using numeric spectra should widen this to
 #: cover the certified error bars.
 RESONANCE_TOL = 1e-9
+
+#: A computed circle eigenvalue (2*pi*j/L)^2 within this relative distance
+#: of a query lambda counts as equal to it: the roundings of that expression
+#: and of k*k move an exact resonance by a few ulps.
+_EQUAL_RTOL = 4.0 * sys.float_info.epsilon
+
+#: Relative error bound of a metric-circle eigenvalue (2*pi*j/L)^2 against
+#: the exact (j/x)^2, x the exact mean of the density samples.  The
+#: rounding of pi cancels between 2*pi*j and L = 2*pi*fsum(a)/len(a); five
+#: roundings of u = eps/2 remain in the ratio and the square adds at most
+#: one ulp, about 12u = 6 eps in all.
+_ROUNDING_RTOL = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -300,16 +309,21 @@ class Circle(CrossSection):
     def _eig(self, j: int) -> float:
         return (2.0 * math.pi * j / self.length) ** 2
 
-    def _jmax(self, lam: float, strict: bool = False) -> int:
-        """Largest j with lambda_j <= lam (or < lam when strict); -1 if none."""
-        if lam < 0 or (strict and lam <= 0):
+    def _jmax(self, bound: float, strict: bool = False) -> int:
+        """Largest j with lambda_j <= bound (< bound when strict); -1 if none."""
+        if bound < 0 or (strict and bound <= 0):
             return -1
-        j = int(self.length * math.sqrt(max(lam, 0.0)) / (2.0 * math.pi))
-        ok = (lambda x: x < lam) if strict else (lambda x: x <= lam)
-        while ok(self._eig(j + 1)):
-            j += 1
-        while j >= 0 and not ok(self._eig(j)):
-            j -= 1
+        j = int(self.length * math.sqrt(bound) / (2.0 * math.pi))
+        if strict:
+            while self._eig(j + 1) < bound:
+                j += 1
+            while j >= 0 and self._eig(j) >= bound:
+                j -= 1
+        else:
+            while self._eig(j + 1) <= bound:
+                j += 1
+            while j >= 0 and self._eig(j) > bound:
+                j -= 1
         return j
 
     def spectrum_upto(self, lambda_max: float) -> Spectrum:
@@ -321,13 +335,14 @@ class Circle(CrossSection):
 
     def counting(self, lam: float) -> int:
         self._check_certified(lam)
-        return 1 + 2 * max(self._jmax(lam), 0) if lam >= 0 else 0
+        return 1 + 2 * max(self._jmax(lam * (1.0 + _EQUAL_RTOL)), 0) \
+            if lam >= 0 else 0
 
     def counting_left(self, lam: float) -> int:
         self._check_certified(lam)
         if lam <= 0:
             return 0
-        return 1 + 2 * max(self._jmax(lam, strict=True), 0)
+        return 1 + 2 * max(self._jmax(lam * (1.0 - _EQUAL_RTOL), strict=True), 0)
 
     def measure(self) -> float:
         return self.length
@@ -386,69 +401,24 @@ class ExplicitSpectrum(CrossSection):
         return self._measure
 
 
-class MetricCircleNumeric(CrossSection):
-    """A variable-density metric circle whose spectrum is computed numerically.
+class MetricCircleNumeric(Circle):
+    """A variable-density metric circle, counted as the round circle of its length.
 
-    Delegates to the certified finite-difference eigensolver; the certified
-    spectrum is extended lazily and cached as larger ranges are requested.
+    A circle with line element a(theta) dtheta is isometric to the round
+    circle of its total length L, so the spectrum is (2*pi*j/L)^2 and the
+    only numeric input is L, a sum of the density samples.  Every length
+    that ``eigensolver.MetricCircle`` accepts is accepted, up to
+    2*pi*(1 + 1e-12), just past the bound ``Circle`` enforces.
     """
 
     def __init__(self, circle):
-        # `circle` is an eigensolver.MetricCircle; imported lazily to keep
-        # the module dependency one-way.
-        self._circle = circle
-        self._cached: ExplicitSpectrum | None = None
-        self._bars: list[float] = []
+        # `circle` is an eigensolver.MetricCircle, which validated its length
+        object.__setattr__(self, "length", circle.total_length)
+        object.__setattr__(self, "metric_circle", circle)
 
-    @property
-    def ambient_dim(self) -> int:
-        return 2
-
-    @property
-    def metric_circle(self):
-        return self._circle
-
-    @property
-    def error_bars(self) -> list[float]:
-        return list(self._bars)
-
-    def certified_bound(self) -> float:
-        return self._cached.certified_bound() if self._cached else 0.0
-
-    def _ensure_range(self, lam: float):
-        if lam < 0:
-            raise InvalidArgument(f"lambda must be nonnegative, got {lam}")
-        self._ensure(max(lam, 1e-6))
-
-    def _ensure(self, lambda_max: float):
-        if self._cached is not None and \
-                self._cached.certified_bound() >= lambda_max:
-            return
-        from .eigensolver import certified_spectrum
-        spec, bars = certified_spectrum(self._circle, lambda_max)
-        self._cached = ExplicitSpectrum(spec, self._circle.total_length)
-        self._bars = bars
-
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        if lambda_max <= 0:
-            raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
-        self._ensure(lambda_max)
-        return self._cached.spectrum_upto(lambda_max)
-
-    def counting(self, lam: float) -> int:
-        if lam < 0:
-            raise InvalidArgument(f"lambda must be nonnegative, got {lam}")
-        self._ensure(max(lam, 1e-6))
-        return self._cached.counting(lam)
-
-    def counting_left(self, lam: float) -> int:
-        if lam < 0:
-            raise InvalidArgument(f"lambda must be nonnegative, got {lam}")
-        self._ensure(max(lam, 1e-6))
-        return self._cached.counting_left(lam)
-
-    def measure(self) -> float:
-        return self._circle.total_length
+    def error_bars(self, spectrum: Spectrum) -> list[float]:
+        """One bar per entry of `spectrum`: the float rounding of lambda."""
+        return [_ROUNDING_RTOL * lam for lam, _ in spectrum.entries]
 
 
 # -- spectrum JSON interchange ---------------------------------------------

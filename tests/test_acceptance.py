@@ -1,7 +1,7 @@
 """End-to-end acceptance checks, one per numbered contract item.
 
-Each test prints a single PASS/FAIL line (run pytest with -s or check
-test_output.txt) and enforces its own wall-clock budget.
+Each test prints a single PASS/FAIL line (shown because pyproject.toml
+passes -s to pytest) and enforces its own wall-clock budget.
 """
 
 import math

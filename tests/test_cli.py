@@ -72,6 +72,19 @@ class TestReports:
         assert "version" in doc and "config" in doc
         assert doc["counts"] == [{"lambda": 6.0, "count": 9, "count_left": 4}]
 
+    def test_metric_circle_spectrum_report(self, capsys, tmp_path):
+        path = tmp_path / "full_circle.json"
+        path.write_text(json.dumps([1.0] * 64))
+        code, doc = run_json(capsys, "spectrum", "--cross-section",
+                             f"metric-circle:{path}", "--lambda-max", "9.5")
+        assert code == EXIT_OK
+        spec = doc["spectrum"]
+        assert [e["mult"] for e in spec["entries"]] == [1, 2, 2, 2]
+        assert len(spec["error_bars"]) == 4
+        for e, exact, bar in zip(spec["entries"], [0.0, 1.0, 4.0, 9.0],
+                                 spec["error_bars"]):
+            assert abs(e["lambda"] - exact) <= bar <= 1e-6 * max(1.0, exact)
+
     def test_spectrum_report(self, capsys):
         code, doc = run_json(capsys, "spectrum", "--cross-section",
                              "circle:3.141592653589793", "--lambda-max", "17")
@@ -167,6 +180,14 @@ class TestExitCodes:
                              "--lambda", "6")
         assert code == EXIT_USAGE
         assert doc["error"]["type"] == "InvalidArgument"
+
+    @pytest.mark.parametrize("cs", ["sphere:abc", "sphere:2.5", "circle:abc"])
+    def test_usage_error_on_malformed_number(self, capsys, cs):
+        code, doc = run_json(capsys, "hk", "--cross-section", cs, "--n", "3",
+                             "--k", "2")
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
 
     def test_usage_error_on_unknown_flag(self, capsys):
         code = main(["count", "--cross-section", "sphere:2"])

@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coneh import (InvalidArgument, MetricCircleNumeric,
-                   ResolutionInsufficient)
+from coneh import InvalidArgument, MetricCircleNumeric
 from coneh.eigensolver import (MetricCircle, assemble, certified_spectrum,
                                eigenvalues, load_density)
 
@@ -14,11 +16,7 @@ TWO_PI = 2.0 * math.pi
 
 @pytest.fixture(scope="module")
 def half_circle_spectrum():
-    """Certified spectrum of the constant circle of length pi, up to 17.
-
-    Shared because certifying the second Fourier mode to 1e-6 relative
-    needs the densest (4096-point) solve; everything reads from this.
-    """
+    """Certified spectrum of the constant circle of length pi, up to 17."""
     return certified_spectrum(MetricCircle.constant(math.pi), 17.0)
 
 
@@ -103,29 +101,74 @@ class TestCertifiedSpectrum:
         assert spec.entries[1][0] == pytest.approx(
             lam1, abs=max(bars[1], 1e-6 * lam1))
 
-    def test_resolution_cap_raises(self):
-        # the third Fourier mode cannot be certified within the cap
-        with pytest.raises(ResolutionInsufficient) as err:
-            certified_spectrum(MetricCircle.constant(TWO_PI), 9.5)
-        assert err.value.error_bars  # achieved bars are reported
-        assert all(isinstance(b, float) for b in err.value.error_bars)
+    def test_full_circle_third_mode(self):
+        spec, bars = certified_spectrum(MetricCircle.constant(TWO_PI), 9.5)
+        assert [m for _, m in spec.entries] == [1, 2, 2, 2]
+        for (lam, _), exact, bar in zip(spec.entries, [0.0, 1.0, 4.0, 9.0],
+                                        bars):
+            assert abs(lam - exact) <= bar <= 1e-6 * max(1.0, exact)
+
+    def test_performs_no_eigensolve(self, monkeypatch):
+        import coneh.eigensolver as es
+
+        def forbidden(*args):
+            raise AssertionError("certified_spectrum ran the discretization")
+        monkeypatch.setattr(es, "assemble", forbidden)
+        monkeypatch.setattr(es, "eigenvalues", forbidden)
+        spec, bars = certified_spectrum(MetricCircle.constant(TWO_PI), 1e4)
+        assert len(spec.entries) == len(bars) == 101
 
     def test_rejects_nonpositive_lambda_max(self):
         with pytest.raises(InvalidArgument):
             certified_spectrum(MetricCircle.constant(math.pi), -1.0)
 
 
+@st.composite
+def densities(draw):
+    """Positive densities of total length <= 2*pi, with a spectral range
+    holding one to four nonzero modes."""
+    n = draw(st.integers(4, 64))
+    dens = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    modes = draw(st.integers(1, 4))
+    return dens, modes
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(densities())
+    def test_bars_bound_exact_spectrum_and_match_oracle(self, case):
+        dens, modes = case
+        c = MetricCircle(tuple(dens))
+        x = Fraction(math.fsum(dens)) / len(dens)  # L / (2*pi), exactly
+        lam_max = float((modes + Fraction(1, 2)) ** 2 / x ** 2)
+        spec, bars = certified_spectrum(c, lam_max)
+        assert len(bars) == len(spec.entries) == modes + 1
+        assert spec.entries[0] == (0.0, 1) and bars[0] == 0.0
+        for j, ((lam, mult), bar) in enumerate(zip(spec.entries, bars)):
+            assert mult == (1 if j == 0 else 2)
+            assert abs(Fraction(lam) - Fraction(j) ** 2 / x ** 2) <= bar
+            assert bar <= 1e-6 * max(1.0, lam)
+        # the discretization oracle: two-level Richardson at m = 256 / 512
+        # agrees within its O(h^2) difference
+        count = 2 * modes + 1
+        coarse = eigenvalues(assemble(c, 256), count)
+        fine = eigenvalues(assemble(c, 512), count)
+        for j, (lam, _) in enumerate(spec.entries[1:], start=1):
+            for idx in (2 * j - 1, 2 * j):
+                diff = fine[idx] - coarse[idx]
+                assert abs(fine[idx] + diff / 3.0 - lam) <= abs(diff)
+
+
 @pytest.fixture(scope="module")
 def X():
-    X = MetricCircleNumeric(MetricCircle.constant(math.pi))
-    X.counting(17.0)  # certify once; the tests below read from the cache
-    return X
+    return MetricCircleNumeric(MetricCircle.constant(math.pi))
 
 
 class TestMetricCircleNumeric:
     def test_counting_matches_closed_form(self, X):
         assert X.counting(17.0) == 5
-        # the certified entry near 16 carries an error bar; probe well below
+        assert X.counting(16.0) == 5
+        assert X.counting_left(16.0) == 3
         assert X.counting_left(10.0) == 3
         assert X.measure() == pytest.approx(math.pi, rel=1e-15)
 
@@ -136,22 +179,30 @@ class TestMetricCircleNumeric:
         assert not miss
 
     def test_error_bars_exposed(self, X):
-        bars = X.error_bars
-        assert len(bars) == 3 and all(b >= 0 for b in bars)
+        spec = X.spectrum_upto(17.0)
+        bars = X.error_bars(spec)
+        assert len(bars) == 3 and bars[0] == 0.0
+        assert all(0 < b <= 1e-13 * lam
+                   for (lam, _), b in zip(spec.entries[1:], bars[1:]))
 
     def test_growth_report_from_numeric_spectrum(self, X):
         from coneh import hk_bounds
         rep = hk_bounds(X, 2, 3.0)
         assert rep.exact == 3 and not rep.resonant
 
-    def test_lazy_extension(self):
+    def test_certified_everywhere(self):
         X = MetricCircleNumeric(MetricCircle.constant(math.pi))
-        assert X.certified_bound() == 0.0
-        X.counting(1.0)
-        b1 = X.certified_bound()
-        assert b1 >= 1.0
-        X.counting(5.0)
-        assert X.certified_bound() >= 5.0 > b1
+        assert X.certified_bound() == math.inf
+        assert X.counting(1e12) == 1 + 2 * 10 ** 6 // 2
+
+    def test_accepts_every_metric_circle_length(self):
+        # MetricCircle admits lengths up to 2*pi*(1 + 1e-12), past Circle's bound
+        c = MetricCircle.constant(TWO_PI * (1.0 + 1e-12))
+        X = MetricCircleNumeric(c)
+        assert X.measure() == c.total_length > TWO_PI + 1e-15
+        lam1 = X.spectrum_upto(2.0).entries[1][0]
+        assert lam1 < 1.0
+        assert X.counting(lam1) == 3 and X.counting_left(lam1) == 1
 
 
 class TestDensityFiles:

@@ -107,6 +107,15 @@ class TestHkBounds:
             rep = hk_bounds(Circle(L), 2, k)
             assert 1 <= rep.lower <= rep.upper
 
+    @pytest.mark.parametrize("p,q,k", [(1, 1, 13.0), (1, 2, 26.0),
+                                       (1, 3, 15.0), (2, 3, 27.0)])
+    def test_circle_resonance_survives_rounding(self, p, q, k):
+        # 2*pi*j/L rounds a few ulps above the resonant order k = j*q/p
+        rep = hk_bounds(Circle(2 * math.pi * p / q), 2, k)
+        upper = 1 + 2 * int(k * p / q)
+        assert rep.resonant and rep.exact is None
+        assert (rep.lower, rep.upper) == (upper - 2, upper)
+
 
 class TestStaircase:
     def test_full_circle(self):
@@ -121,6 +130,24 @@ class TestStaircase:
         for a, b in zip(steps, steps[1:]):
             assert a.k_hi == b.k_lo
             assert b.h == a.h + b.jump
+
+    def test_jumps_on_a_third_circle_are_pairs(self):
+        # resonances 3j, where beta*beta rounds below (2*pi*j/L)^2 at j = 5
+        steps = hk_staircase(Circle(2.0943951023931953), 2, 20.0)
+        assert len(steps) == 7 and steps[0].jump == 0
+        assert [s.jump for s in steps[1:]] == [2] * 6
+        assert [s.h for s in steps] == [1, 3, 5, 7, 9, 11, 13]
+
+    def test_jumps_equal_multiplicities_of_explicit_spectrum(self):
+        rng = np.random.default_rng(12)
+        mults = rng.integers(1, 4, 200)
+        lams = np.cumsum(rng.uniform(0.1, 5.0, 200))
+        X = ExplicitSpectrum(Spectrum(2, ((0.0, 1), *zip(lams.tolist(),
+                                                         mults.tolist())),
+                                      float(lams[-1]) + 100.0), 5.0)
+        k_max = math.sqrt(float(lams[-1])) + 0.1
+        steps = hk_staircase(X, 2, k_max)
+        assert [s.jump for s in steps[1:]] == mults.tolist()
 
     def test_step_values_match_hk_bounds(self):
         X = Circle(1.7)
