@@ -9,14 +9,13 @@ tensor-product trapezoid quadrature.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .harmonics import ConeHarmonic, Mode, circle_mode, evaluate
+from .harmonics import ConeHarmonic, circle_eigenfunction, circle_mode
 from .spectra import Circle
 
 
@@ -62,15 +61,9 @@ def sample_harmonic(u: ConeHarmonic, L: float, r_min: float, r_max: float,
     """Sample a circle-cone harmonic on the annulus grid (vectorized)."""
     r = np.linspace(r_min, r_max, m_r)[:, None]
     theta = (np.arange(m_theta) * L / m_theta)[None, :]
-    vals = np.full((m_r, m_theta), float(u.constant_term))
-    norm = math.sqrt(2.0 / L)
-    for m in u.modes:
-        if m.c == 0.0 or m.mode_id == 0:
-            continue
-        j = (m.mode_id + 1) // 2
-        arg = 2.0 * math.pi * j * theta / L
-        phi = norm * (np.cos(arg) if m.mode_id % 2 == 1 else np.sin(arg))
-        vals = vals + m.c * r ** m.alpha * phi
+    vals = sum((m.c * r ** m.alpha * circle_eigenfunction(L, m.mode_id, theta)
+                for m in u.modes if m.c != 0.0 and m.mode_id != 0),
+               np.full((m_r, m_theta), float(u.constant_term)))
     return ConeGrid(L, r_min, r_max, vals)
 
 

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
+from . import spectra
 from .errors import InvalidArgument
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import RESONANCE_TOL, CrossSection
@@ -120,6 +123,11 @@ def _check_dim(X: CrossSection, n: int):
             f"cross-section has ambient dimension {X.ambient_dim}, got n = {n}")
 
 
+def _check_order(k: float, name: str = "k"):
+    if not 0 < k < math.inf:
+        raise InvalidArgument(f"{name} must be positive and finite, got {k}")
+
+
 def hk_bounds(X: CrossSection, n: int, k: float,
               tol: float = RESONANCE_TOL) -> GrowthReport:
     """Lower/upper/exact h_k from the counting function of X.
@@ -130,8 +138,7 @@ def hk_bounds(X: CrossSection, n: int, k: float,
     In the Liouville regime k(k+n-2) < lambda_1 this gives h_k = 1.
     """
     _check_dim(X, n)
-    if k <= 0:
-        raise InvalidArgument(f"k must be positive, got {k}")
+    _check_order(k)
     lam = eigenvalue_from_exponent(k, n)
     upper = X.counting(lam)
     lower = max(1, X.counting_left(lam))
@@ -151,8 +158,7 @@ def hk_staircase(X: CrossSection, n: int, k_max: float,
     (resonant eigenspace included) and the size of the jump.
     """
     _check_dim(X, n)
-    if k_max <= 0:
-        raise InvalidArgument(f"k_max must be positive, got {k_max}")
+    _check_order(k_max, "k_max")
     rset = X.resonant_set_upto(k_max)
     steps: list[StaircaseStep] = []
     prev_h = 1
@@ -189,10 +195,23 @@ def cesaro_limit(X: CrossSection, n: int) -> float:
 def _cesaro_offset(X: CrossSection, k: float) -> float:
     """A fixed non-resonant sampling offset: half the minimal resonance gap,
     capped at 0.25."""
-    res = X.resonant_set_upto(max(k, 1.0)).exponents
-    gaps = [b2 - b1 for b1, b2 in zip(res, res[1:]) if b2 > b1]
-    delta = min(0.25, min(gaps) / 2.0) if gaps else 0.25
-    return delta
+    gap, prev = math.inf, np.empty(0)
+    for betas, _ in X.resonance_blocks(max(k, 1.0)):
+        run = np.concatenate((prev, betas))
+        steps = np.diff(run)
+        gap = min(gap, float(steps[steps > 0].min(initial=math.inf)))
+        prev = run[-1:]
+    return min(0.25, gap / 2.0)
+
+
+def _cesaro_total(X: CrossSection, n: int, k: float, delta: float) -> int:
+    """Sum of N_X at the growth orders i - 1 + delta, i = 1..int(k), as an
+    exact integer; the orders go through the level table in blocks."""
+    total = 0
+    for start in range(0, int(k), spectra.LEVEL_BLOCK):
+        orders = np.arange(start, min(start + spectra.LEVEL_BLOCK, int(k))) + delta
+        total += sum(X.count_array(eigenvalue_from_exponent(orders, n)).tolist())
+    return total
 
 
 def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
@@ -209,17 +228,12 @@ def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
     limit_c = cesaro_limit(X, n)
     out = []
     for k in k_list:
-        if k <= 0:
-            raise InvalidArgument(f"k must be positive, got {k}")
+        _check_order(k)
         resonant, _, _ = X.is_resonant(k, tol)
         k_eff = k + tol if resonant else k
         h = X.counting(eigenvalue_from_exponent(k_eff, n))
         ratio_p = k_eff ** (1 - n) * h
-        delta = _cesaro_offset(X, k)
-        total = 0
-        for i in range(1, int(k) + 1):
-            total += X.counting(eigenvalue_from_exponent(i - 1 + delta, n))
-        ratio_c = k ** (-n) * total
+        ratio_c = k ** (-n) * _cesaro_total(X, n, k, _cesaro_offset(X, k))
         out.append(EmpiricalRatio(
             k=k, pointwise_ratio=ratio_p,
             pointwise_deviation=abs(ratio_p - limit_p),
@@ -257,8 +271,7 @@ def collapsed_bounds(X: CrossSection, n: int, m: int, k: float
         raise InvalidArgument(
             f"cross-section has ambient dimension {X.ambient_dim}, "
             f"expected the cone dimension m = {m}")
-    if k <= 0:
-        raise InvalidArgument(f"k must be positive, got {k}")
+    _check_order(k)
     lower = max(1, X.counting_left(k * (k + m - 2)))
     upper = X.counting((k + (n - m) / 2.0) * (k + (n + m) / 2.0 - 2.0))
     V = X.measure()

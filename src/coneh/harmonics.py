@@ -128,10 +128,10 @@ def U(u: ConeHarmonic, s: float) -> float:
         raise InvalidArgument(f"s must be positive, got {s}")
     alpha, c = _frequency_modes(u)
     w = c * c * s ** (2.0 * alpha)
-    denom = float(np.sum(w))
+    denom = float(w.sum())
     if denom == 0.0:
         raise NumericFailure(f"height functional underflowed to 0 at s = {s}")
-    return float(np.sum(alpha * w) / denom)
+    return float((alpha * w).sum() / denom)
 
 
 def J(u: ConeHarmonic, s: float) -> float:
@@ -239,29 +239,28 @@ def sharp_growth_order(u: ConeHarmonic) -> tuple[float, dict]:
     return gamma, report
 
 
-def evaluate(u: ConeHarmonic, X: CrossSection, theta: float, r: float) -> float:
-    """Evaluate u at the cone point (theta, r) over a circle cross-section.
+def circle_eigenfunction(L: float, mode_id: int, theta):
+    """Eigenfunction mode_id >= 1 of Circle(L) at arclength theta (float or
+    array): mode_id 2j-1 / 2j is sqrt(2/L) * cos / sin(2*pi*j*theta/L), of
+    unit L^2 norm."""
+    j = (mode_id + 1) // 2
+    arg = 2.0 * math.pi * j * theta / L
+    return math.sqrt(2.0 / L) * (np.cos(arg) if mode_id % 2 == 1
+                                 else np.sin(arg))
 
-    mode_id 2j-1 / 2j map to cos / sin Fourier modes of frequency j,
-    normalized to unit L^2 norm in plain arclength (so phi = sqrt(2/L) *
-    cos(2*pi*j*theta/L) etc.).  theta is the arclength coordinate.
-    """
+
+def evaluate(u: ConeHarmonic, X: CrossSection, theta: float, r: float) -> float:
+    """Evaluate u at the cone point (theta, r) over a circle cross-section,
+    with the eigenfunctions of ``circle_eigenfunction``."""
     if not isinstance(X, Circle):
         raise UnsupportedCrossSection(
             "pointwise evaluation needs explicit eigenfunctions; only "
             "circle cross-sections are supported")
     if r < 0:
         raise InvalidArgument(f"r must be nonnegative, got {r}")
-    L = X.length
-    total = u.constant_term
     if r == 0.0:
-        return total
-    norm = math.sqrt(2.0 / L)
-    for m in u.modes:
-        if m.c == 0.0 or m.mode_id == 0:
-            continue
-        j = (m.mode_id + 1) // 2
-        arg = 2.0 * math.pi * j * theta / L
-        phi = norm * (math.cos(arg) if m.mode_id % 2 == 1 else math.sin(arg))
-        total += m.c * r ** m.alpha * phi
-    return total
+        return u.constant_term
+    return float(sum((m.c * r ** m.alpha
+                      * circle_eigenfunction(X.length, m.mode_id, theta)
+                      for m in u.modes if m.c != 0.0 and m.mode_id != 0),
+                     u.constant_term))

@@ -1,26 +1,30 @@
-"""Cross-sections of Euclidean cones and their spectral counting functions.
+"""Cross-sections of Euclidean cones as level tables with one counting core.
 
 A cross-section is a compact metric measure space X whose Laplace spectrum
 0 = lambda_0 < lambda_1 <= lambda_2 <= ... drives everything downstream:
 the counting function N_X, the resonant exponent set, and the growth
-dimension bounds.  Four concrete variants are provided:
-
-* ``RoundSphere(d)``   -- the unit d-sphere (closed-form spectrum),
-* ``Circle(L)``        -- a circle of circumference L <= 2*pi (n = 2),
-* ``MetricCircleNumeric`` -- a variable-density circle, counted as the
-  round circle of its total length,
-* ``ExplicitSpectrum`` -- a user-supplied truncated spectrum plus measure.
+dimension bounds.  Level i of X is its i-th distinct eigenvalue.  Each
+variant supplies three vectorised primitives: ``level_eigenvalue(i)``,
+``level_count(i)`` (the cumulative multiplicity, exact) and
+``level_lookup(lam)``, a closed-form sqrt inverse for ``RoundSphere(d)``
+and ``Circle(L)`` (and ``MetricCircleNumeric``, a variable-density circle
+counted as the round circle of its length) and ``np.searchsorted`` for
+``ExplicitSpectrum``, a user-supplied truncated spectrum.  ``CrossSection``
+writes counting, spectrum truncation, the resonant set and the resonance
+lookup once on top of them.
 
 All types are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgument, ResolutionInsufficient
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
@@ -30,9 +34,9 @@ from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 #: cover the certified error bars.
 RESONANCE_TOL = 1e-9
 
-#: A computed circle eigenvalue (2*pi*j/L)^2 within this relative distance
-#: of a query lambda counts as equal to it: the roundings of that expression
-#: and of k*k move an exact resonance by a few ulps.
+#: An eigenvalue within this relative distance of a query lambda counts as
+#: equal to it, for every cross-section: the roundings of (2*pi*j/L)^2, of
+#: k*(k+n-2) and of a stored float move an exact resonance by a few ulps.
 _EQUAL_RTOL = 4.0 * sys.float_info.epsilon
 
 #: Relative error bound of a metric-circle eigenvalue (2*pi*j/L)^2 against
@@ -41,6 +45,10 @@ _EQUAL_RTOL = 4.0 * sys.float_info.epsilon
 #: roundings of u = eps/2 remain in the ratio and the square adds at most
 #: one ulp, about 12u = 6 eps in all.
 _ROUNDING_RTOL = 8.0 * sys.float_info.epsilon
+
+#: Levels (or growth orders) per array pass over a level table, so the
+#: memory of a pass does not grow with the spectrum or with k.
+LEVEL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,14 +98,6 @@ class Spectrum:
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(lam for lam, _ in self.entries)
 
-    def counting(self, lam: float) -> int:
-        """N(lam): number of eigenvalues <= lam, with multiplicity."""
-        return sum(m for ev, m in self.entries if ev <= lam)
-
-    def counting_left(self, lam: float) -> int:
-        """Number of eigenvalues strictly below lam, with multiplicity."""
-        return sum(m for ev, m in self.entries if ev < lam)
-
     def to_json(self, measure: float | None = None,
                 error_bars: list[float] | None = None) -> dict:
         doc = {
@@ -125,43 +125,41 @@ class ResonantSet:
     eigenvalues: tuple[float, ...]  # parallel to exponents
     beta_max: float
 
-    def nearest(self, k: float) -> tuple[float, float]:
-        """Return (nearest exponent, |k - nearest|)."""
-        if not self.exponents:
-            return math.nan, math.inf
-        best = min(self.exponents, key=lambda b: abs(k - b))
-        return best, abs(k - best)
-
 
 class CrossSection:
-    """Common interface of all cross-section variants."""
+    """A cross-section read as a level table; the counting core lives here."""
 
     #: dimension n of the cone C(X); the cross-section itself is (n-1)-dim.
     ambient_dim: int
 
+    # -- level primitives, supplied by each variant ---------------------------
+
+    def level_eigenvalue(self, i: np.ndarray) -> np.ndarray:
+        """Float eigenvalue of each level i >= 0."""
+        raise NotImplementedError
+
+    def level_count(self, i: np.ndarray) -> np.ndarray:
+        """Cumulative multiplicity through each level i >= -1, exactly:
+        int64 while it fits, Python ints beyond."""
+        raise NotImplementedError
+
+    def level_lookup(self, lam: np.ndarray) -> np.ndarray:
+        """The largest level whose eigenvalue is <= lam (-1 if none)."""
+        raise NotImplementedError
+
     def certified_bound(self) -> float:
         """Largest eigenvalue up to which the spectrum is certified."""
-        raise NotImplementedError
-
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        """All eigenvalues <= lambda_max as a grouped Spectrum."""
-        raise NotImplementedError
-
-    def counting(self, lam: float) -> int:
-        """N_X(lam): eigenvalues <= lam counted with multiplicity (index 0 included)."""
-        raise NotImplementedError
-
-    def counting_left(self, lam: float) -> int:
-        """Eigenvalues strictly below lam, counted with multiplicity."""
         raise NotImplementedError
 
     def measure(self) -> float:
         """The (n-1)-dimensional Hausdorff measure of X."""
         raise NotImplementedError
 
-    # -- shared machinery ---------------------------------------------------
+    # -- the counting core ------------------------------------------------------
 
     def _check_certified(self, lam: float):
+        if not math.isfinite(lam):
+            raise InvalidArgument(f"lambda must be finite, got {lam}")
         if lam < 0:
             raise InvalidArgument(f"lambda must be nonnegative, got {lam}")
         bound = self.certified_bound()
@@ -170,45 +168,95 @@ class CrossSection:
                 f"lambda = {lam} exceeds the certified bound {bound}",
                 certified_bound=bound)
 
-    def _ensure_range(self, lam: float):
-        """Certify the spectrum up to lam, extending it where possible."""
+    def _settle(self, guess: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Move float level guesses to the largest level with eigenvalue <= lam."""
+        if guess.max() >= 2.0 ** 53:
+            raise InvalidArgument(
+                "lambda lies past level 2**53, where float eigenvalues no "
+                "longer tell the levels apart")
+        i = guess.astype(np.int64)
+        while (up := self.level_eigenvalue(i + 1) <= lam).any():
+            i = np.where(up, i + 1, i)
+        while (down := (i >= 0) & (
+                self.level_eigenvalue(np.maximum(i, 0)) > lam)).any():
+            i = np.where(down, i - 1, i)
+        return i
+
+    def count_array(self, lam: np.ndarray) -> np.ndarray:
+        """N_X at each entry of a float array: exact integers, int64 while
+        they fit, Python ints beyond."""
+        for edge in (lam.min(), lam.max()):
+            self._check_certified(float(edge))
+        return self.level_count(self.level_lookup(lam * (1.0 + _EQUAL_RTOL)))
+
+    def counting(self, lam: float) -> int:
+        """N_X(lam): eigenvalues <= lam counted with multiplicity (index 0 included)."""
+        return int(self.count_array(np.array([lam]))[0])
+
+    def counting_left(self, lam: float) -> int:
+        """Eigenvalues strictly below lam, counted with multiplicity."""
         self._check_certified(lam)
+        below = np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf)
+        return int(self.level_count(self.level_lookup(np.array([below])))[0])
+
+    def spectrum_upto(self, lambda_max: float) -> Spectrum:
+        """All eigenvalues <= lambda_max as a grouped Spectrum."""
+        if lambda_max <= 0:
+            raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
+        self._check_certified(lambda_max)
+        levels = np.arange(self.level_lookup(np.array([lambda_max]))[0] + 1)
+        mults = np.diff(self.level_count(levels), prepend=0)
+        entries = zip(self.level_eigenvalue(levels).tolist(), mults.tolist())
+        return Spectrum(self.ambient_dim, tuple(entries), lambda_max)
+
+    def resonance_blocks(self, beta_max: float):
+        """Yield (exponents, eigenvalues) arrays of the resonances in
+        [0, beta_max], in level order, LEVEL_BLOCK levels at a time."""
+        n = self.ambient_dim
+        lam_max = eigenvalue_from_exponent(beta_max, n)
+        self._check_certified(lam_max)
+        # lam_max may round below the eigenvalue whose exponent is beta_max,
+        # so the level one past the lookup is read too
+        stop = self.level_lookup(np.array([lam_max]))[0] + 2
+        for start in range(0, stop, LEVEL_BLOCK):
+            lams = self.level_eigenvalue(
+                np.arange(start, min(start + LEVEL_BLOCK, stop)))
+            betas = exponent_from_eigenvalue(lams, n)
+            keep = betas <= beta_max
+            yield betas[keep], lams[keep]
 
     def resonant_set_upto(self, beta_max: float) -> ResonantSet:
         """All beta in [0, beta_max] with beta*(beta+n-2) in the spectrum."""
-        n = self.ambient_dim
-        lam_max = eigenvalue_from_exponent(beta_max, n)
-        spec = self.spectrum_upto(lam_max)
-        exps, lams = [], []
-        for lam, _ in spec.entries:
-            beta = exponent_from_eigenvalue(lam, n)
-            if beta <= beta_max:
-                exps.append(beta)
-                lams.append(lam)
-        return ResonantSet(n, tuple(exps), tuple(lams), beta_max)
+        exps, lams = (tuple(np.concatenate(part).tolist())
+                      for part in zip(*self.resonance_blocks(beta_max)))
+        return ResonantSet(self.ambient_dim, exps, lams, beta_max)
 
     def is_resonant(self, k: float, tol: float = RESONANCE_TOL
                     ) -> tuple[bool, float, float]:
         """Whether k lies within tol of a resonant exponent.
 
         Returns ``(resonant, nearest_beta, distance)`` so callers can flag
-        "exactness not guaranteed" near resonances.
+        "exactness not guaranteed" near resonances.  Only the levels on
+        either side of k(k+n-2) are read; the one above counts while its
+        exponent is at most k + max(tol, 1) and certified.
         """
         if tol < 0:
             raise InvalidArgument(f"tol must be nonnegative, got {tol}")
         if k < 0:
             raise InvalidArgument(f"k must be nonnegative, got {k}")
         n = self.ambient_dim
-        # Look one unit past k so the nearest resonance from above is seen,
-        # but never past the certified range.
         window = k + max(tol, 1.0)
         try:
-            self._ensure_range(eigenvalue_from_exponent(window, n))
+            self._check_certified(eigenvalue_from_exponent(window, n))
         except ResolutionInsufficient:
-            self._ensure_range(eigenvalue_from_exponent(k + tol, n))
+            self._check_certified(eigenvalue_from_exponent(k + tol, n))
             window = exponent_from_eigenvalue(self.certified_bound(), n)
-        rset = self.resonant_set_upto(window)
-        beta, dist = rset.nearest(k)
+        i = self.level_lookup(np.array([eigenvalue_from_exponent(k, n)]))[0]
+        below, above = exponent_from_eigenvalue(
+            self.level_eigenvalue(np.array([i, i + 1])), n).tolist()
+        closer = above <= window and abs(k - above) < abs(k - below)
+        beta = above if closer else below
+        dist = abs(k - beta)
         return dist <= tol, beta, dist
 
 
@@ -216,8 +264,8 @@ class CrossSection:
 class RoundSphere(CrossSection):
     """Unit d-sphere; the cross-section of R^(d+1) = C(S^d).
 
-    Eigenvalues l*(l + d - 1) with the spherical-harmonic multiplicities
-    C(l+d, d) - C(l+d-2, d).
+    Level l has eigenvalue l*(l + d - 1) and the spherical-harmonic
+    multiplicity C(l+d, d) - C(l+d-2, d).
     """
 
     d: int
@@ -233,51 +281,24 @@ class RoundSphere(CrossSection):
     def certified_bound(self) -> float:
         return math.inf
 
-    def _mult(self, l: int) -> int:
-        d = self.d
-        sub = math.comb(l + d - 2, d) if l + d - 2 >= 0 else 0
-        return math.comb(l + d, d) - sub
+    def level_eigenvalue(self, l):
+        l = l.astype(float)
+        return l * (l + (self.d - 1))
 
-    def _lmax(self, lam: float) -> int:
-        """Largest l with l*(l + d - 1) <= lam (-1 if none)."""
-        if lam < 0:
-            return -1
+    def level_count(self, l):
+        d = self.d
+        # the product below stays under 2*(l+d)^d
+        if l.size and (int(l.max()) + d) ** d >= 2 ** 62:
+            l = l.astype(object)
+        # dim of harmonic polynomials of degree <= l in R^(d+1):
+        # C(l+d, d) + C(l+d-1, d) = (l+1)...(l+d-1) * (2l+d) / d!
+        rising = np.prod(l[:, None] + np.arange(1, d), axis=1)
+        return np.maximum(rising * (2 * l + d) // math.factorial(d), 0)
+
+    def level_lookup(self, lam):
         d1 = self.d - 1
-        l = int((-d1 + math.sqrt(d1 * d1 + 4.0 * lam)) / 2.0)
-        while (l + 1) * (l + 1 + d1) <= lam:
-            l += 1
-        while l >= 0 and l * (l + d1) > lam:
-            l -= 1
-        return l
-
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        if lambda_max <= 0:
-            raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
-        entries = []
-        l = 0
-        while l * (l + self.d - 1) <= lambda_max:
-            entries.append((float(l * (l + self.d - 1)), self._mult(l)))
-            l += 1
-        return Spectrum(self.ambient_dim, tuple(entries), lambda_max)
-
-    def counting(self, lam: float) -> int:
-        self._check_certified(lam)
-        l = self._lmax(lam)
-        if l < 0:
-            return 0
-        d = self.d
-        # cumulative multiplicity = dim of harmonic polynomials of degree <= l
-        return math.comb(l + d, d) + math.comb(l + d - 1, d)
-
-    def counting_left(self, lam: float) -> int:
-        self._check_certified(lam)
-        l = self._lmax(lam)
-        if l >= 0 and l * (l + self.d - 1) == lam:
-            l -= 1
-        if l < 0:
-            return 0
-        d = self.d
-        return math.comb(l + d, d) + math.comb(l + d - 1, d)
+        root = np.sqrt(d1 * d1 + 4.0 * np.maximum(lam, 0.0))
+        return self._settle(np.floor((root - d1) / 2.0), lam)
 
     def measure(self) -> float:
         # surface measure of the unit d-sphere
@@ -289,7 +310,8 @@ class RoundSphere(CrossSection):
 class Circle(CrossSection):
     """A circle of circumference L <= 2*pi; cross-section of a 2D cone.
 
-    Eigenvalues (2*pi*j/L)^2 with multiplicity 2 for j >= 1 (cos/sin pairs).
+    Level j has eigenvalue (2*pi*j/L)^2, with multiplicity 2 for j >= 1
+    (cos/sin pairs).
     """
 
     length: float
@@ -306,43 +328,15 @@ class Circle(CrossSection):
     def certified_bound(self) -> float:
         return math.inf
 
-    def _eig(self, j: int) -> float:
+    def level_eigenvalue(self, j):
         return (2.0 * math.pi * j / self.length) ** 2
 
-    def _jmax(self, bound: float, strict: bool = False) -> int:
-        """Largest j with lambda_j <= bound (< bound when strict); -1 if none."""
-        if bound < 0 or (strict and bound <= 0):
-            return -1
-        j = int(self.length * math.sqrt(bound) / (2.0 * math.pi))
-        if strict:
-            while self._eig(j + 1) < bound:
-                j += 1
-            while j >= 0 and self._eig(j) >= bound:
-                j -= 1
-        else:
-            while self._eig(j + 1) <= bound:
-                j += 1
-            while j >= 0 and self._eig(j) > bound:
-                j -= 1
-        return j
+    def level_count(self, j):
+        return np.maximum(2 * j + 1, 0)
 
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        if lambda_max <= 0:
-            raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
-        jmax = self._jmax(lambda_max)
-        entries = [(0.0, 1)] + [(self._eig(j), 2) for j in range(1, jmax + 1)]
-        return Spectrum(2, tuple(entries), lambda_max)
-
-    def counting(self, lam: float) -> int:
-        self._check_certified(lam)
-        return 1 + 2 * max(self._jmax(lam * (1.0 + _EQUAL_RTOL)), 0) \
-            if lam >= 0 else 0
-
-    def counting_left(self, lam: float) -> int:
-        self._check_certified(lam)
-        if lam <= 0:
-            return 0
-        return 1 + 2 * max(self._jmax(lam * (1.0 - _EQUAL_RTOL), strict=True), 0)
+    def level_lookup(self, lam):
+        guess = self.length * np.sqrt(np.maximum(lam, 0.0)) / (2.0 * math.pi)
+        return self._settle(np.floor(guess), lam)
 
     def measure(self) -> float:
         return self.length
@@ -360,13 +354,11 @@ class ExplicitSpectrum(CrossSection):
             raise InvalidArgument(f"measure must be positive, got {measure}")
         self._spectrum = spectrum
         self._measure = measure
-        self._eigs = [lam for lam, _ in spectrum.entries]
-        cum = []
-        total = 0
-        for _, m in spectrum.entries:
-            total += m
-            cum.append(total)
-        self._cum = cum
+        eigs, mults = zip(*spectrum.entries)
+        # the level past the table reads as inf: nothing there is certified
+        self._eigs = np.array(eigs + (math.inf,))
+        cum = [0, *itertools.accumulate(mults)]
+        self._cum = np.array(cum, dtype=np.int64 if cum[-1] < 2 ** 63 else object)
 
     @property
     def ambient_dim(self) -> int:
@@ -379,23 +371,14 @@ class ExplicitSpectrum(CrossSection):
     def certified_bound(self) -> float:
         return self._spectrum.truncation_bound
 
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        if lambda_max <= 0:
-            raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
-        self._check_certified(lambda_max)
-        entries = tuple((lam, m) for lam, m in self._spectrum.entries
-                        if lam <= lambda_max)
-        return Spectrum(self.ambient_dim, entries, lambda_max)
+    def level_eigenvalue(self, i):
+        return self._eigs[i]
 
-    def counting(self, lam: float) -> int:
-        self._check_certified(lam)
-        i = bisect.bisect_right(self._eigs, lam)
-        return self._cum[i - 1] if i > 0 else 0
+    def level_count(self, i):
+        return self._cum[i + 1]
 
-    def counting_left(self, lam: float) -> int:
-        self._check_certified(lam)
-        i = bisect.bisect_left(self._eigs, lam)
-        return self._cum[i - 1] if i > 0 else 0
+    def level_lookup(self, lam):
+        return np.searchsorted(self._eigs, lam, side="right") - 1
 
     def measure(self) -> float:
         return self._measure

@@ -189,6 +189,21 @@ class TestExitCodes:
         assert doc["error"]["type"] == "InvalidArgument"
         assert doc["error"]["exit_code"] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--cross-section", "circle:3", "--lambda", "nan"],
+        ["count", "--cross-section", "circle:3", "--lambda", "inf"],
+        ["hk", "--cross-section", "sphere:2", "--n", "3", "--k", "nan"],
+        ["hk", "--cross-section", "sphere:2", "--n", "3", "--k", "1e308"],
+        ["asymptotic", "--cross-section", "circle:3", "--n", "2", "--k", "inf"],
+        ["weyl", "--cross-section", "circle:3", "--n", "2", "--lambda", "nan"],
+    ])
+    def test_usage_error_on_non_finite_input(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert doc["schema"] == "coneh/1"
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+
     def test_usage_error_on_unknown_flag(self, capsys):
         code = main(["count", "--cross-section", "sphere:2"])
         capsys.readouterr()
