@@ -101,8 +101,9 @@ def cmd_spectrum(args) -> int:
 def cmd_count(args) -> int:
     X = parse_cross_section(args.cross_section)
     lams = args.lam
-    table = [{"lambda": lam, "count": X.counting(lam),
-              "count_left": X.counting_left(lam)} for lam in lams]
+    table = [{"lambda": lam, "count": count, "count_left": left}
+             for lam, count, left in zip(lams, X.count_array(lams).tolist(),
+                                         X.count_left_array(lams).tolist())]
     doc = _report(_cs_config(args) | {"lambda": lams}, {"counts": table})
     _emit(args, doc, (["lambda", "count", "count_left"],
                       [[t["lambda"], t["count"], t["count_left"]] for t in table]))

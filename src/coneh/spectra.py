@@ -18,7 +18,6 @@ All types are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -65,34 +64,8 @@ class Spectrum:
     truncation_bound: float
 
     def __post_init__(self):
-        if self.ambient_dim < 2:
-            raise InvalidArgument(
-                f"ambient_dim must be >= 2, got {self.ambient_dim}")
-        if not self.entries:
-            raise InvalidArgument("spectrum must contain at least lambda_0 = 0")
-        if self.entries[0] != (0.0, 1) and self.entries[0][0] != 0.0:
-            raise InvalidArgument(
-                f"first eigenvalue must be 0, got {self.entries[0][0]}")
-        if self.entries[0][1] != 1:
-            raise InvalidArgument(
-                "lambda_0 = 0 must be simple (connected cross-section), "
-                f"got multiplicity {self.entries[0][1]}")
-        prev = -math.inf
-        for i, (lam, mult) in enumerate(self.entries):
-            if lam < 0:
-                raise InvalidArgument(f"entry {i}: negative eigenvalue {lam}")
-            if lam <= prev:
-                raise InvalidArgument(
-                    f"entry {i}: eigenvalues must be strictly increasing "
-                    f"({lam} after {prev})")
-            if mult < 1 or int(mult) != mult:
-                raise InvalidArgument(
-                    f"entry {i}: multiplicity must be a positive integer, got {mult}")
-            if lam > self.truncation_bound:
-                raise InvalidArgument(
-                    f"entry {i}: eigenvalue {lam} exceeds truncation bound "
-                    f"{self.truncation_bound}")
-            prev = lam
+        _check_levels(self.ambient_dim, *_entry_arrays(self.entries),
+                     self.truncation_bound)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -110,6 +83,60 @@ class Spectrum:
         if error_bars is not None:
             doc["error_bars"] = list(error_bars)
         return doc
+
+
+def _exact_array(values) -> np.ndarray:
+    """`values` as an array holding each one exactly: a machine-integer
+    array when they fit one, Python objects else."""
+    arr = np.array(values)
+    return arr if arr.dtype.kind in "biu" else np.array(values, dtype=object)
+
+
+def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue and multiplicity columns of grouped entries."""
+    eigs, mults = zip(*entries) if entries else ((), ())
+    return np.array(eigs, dtype=float), _exact_array(mults)
+
+
+def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
+                 truncation_bound: float):
+    """Validate a spectrum given as eigenvalue and multiplicity columns.
+
+    Every rule is one array pass.  The message names the first entry that
+    breaks a rule, with the first rule (in the order below) it breaks.
+    """
+    if ambient_dim < 2:
+        raise InvalidArgument(f"ambient_dim must be >= 2, got {ambient_dim}")
+    if not math.isfinite(truncation_bound):
+        raise InvalidArgument(
+            f"truncation bound must be finite, got {truncation_bound}")
+    if not eigs.size:
+        raise InvalidArgument("spectrum must contain at least lambda_0 = 0")
+    if eigs[0] != 0.0:
+        raise InvalidArgument(f"first eigenvalue must be 0, got {eigs[0]}")
+    if mults[0] != 1:
+        raise InvalidArgument(
+            "lambda_0 = 0 must be simple (connected cross-section), "
+            f"got multiplicity {mults[0]}")
+    prev = np.concatenate(([-math.inf], eigs[:-1]))
+    with np.errstate(invalid="ignore"):
+        rules = [
+            (eigs < 0, "negative eigenvalue {lam}"),
+            (eigs <= prev,
+             "eigenvalues must be strictly increasing ({lam} after {prev})"),
+            (~(mults >= 1) | (np.mod(mults, 1) != 0),
+             "multiplicity must be a positive integer, got {mult}"),
+            (eigs > truncation_bound,
+             "eigenvalue {lam} exceeds truncation bound {bound}"),
+            (~np.isfinite(eigs), "eigenvalue must be finite, got {lam}"),
+        ]
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(bad.argmax())
+        text = next(text for mask, text in rules if mask[i])
+        raise InvalidArgument(f"entry {i}: " + text.format(
+            lam=float(eigs[i]), prev=float(prev[i]),
+            mult=mults[i:i + 1].tolist()[0], bound=truncation_bound))
 
 
 @dataclass(frozen=True)
@@ -182,22 +209,33 @@ class CrossSection:
             i = np.where(down, i - 1, i)
         return i
 
-    def count_array(self, lam: np.ndarray) -> np.ndarray:
-        """N_X at each entry of a float array: exact integers, int64 while
+    def _check_certified_array(self, lam: np.ndarray):
+        """_check_certified on the first entry of lam that fails it."""
+        bad = ~(np.isfinite(lam) & (lam >= 0) & (lam <= self.certified_bound()))
+        if bad.any():
+            self._check_certified(float(lam[bad.argmax()]))
+
+    def count_array(self, lam) -> np.ndarray:
+        """N_X at each entry of a float sequence: exact integers, int64 while
         they fit, Python ints beyond."""
-        for edge in (lam.min(), lam.max()):
-            self._check_certified(float(edge))
+        lam = np.asarray(lam, dtype=float)
+        self._check_certified_array(lam)
         return self.level_count(self.level_lookup(lam * (1.0 + _EQUAL_RTOL)))
+
+    def count_left_array(self, lam) -> np.ndarray:
+        """Eigenvalues strictly below each entry of lam, with multiplicity."""
+        lam = np.asarray(lam, dtype=float)
+        self._check_certified_array(lam)
+        below = np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf)
+        return self.level_count(self.level_lookup(below))
 
     def counting(self, lam: float) -> int:
         """N_X(lam): eigenvalues <= lam counted with multiplicity (index 0 included)."""
-        return int(self.count_array(np.array([lam]))[0])
+        return int(self.count_array([lam])[0])
 
     def counting_left(self, lam: float) -> int:
         """Eigenvalues strictly below lam, counted with multiplicity."""
-        self._check_certified(lam)
-        below = np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf)
-        return int(self.level_count(self.level_lookup(np.array([below])))[0])
+        return int(self.count_left_array([lam])[0])
 
     def spectrum_upto(self, lambda_max: float) -> Spectrum:
         """All eigenvalues <= lambda_max as a grouped Spectrum."""
@@ -342,6 +380,16 @@ class Circle(CrossSection):
         return self.length
 
 
+def _cumulative(mults: np.ndarray) -> np.ndarray:
+    """[0, m_0, m_0 + m_1, ...] exactly: int64 while the total fits in it,
+    Python ints beyond."""
+    # a float total below 2**62 proves the exact one is below 2**63
+    if mults.dtype != object and mults.sum(dtype=float) < 2.0 ** 62:
+        return np.cumsum(np.append(0, mults), dtype=np.int64)
+    cum = np.cumsum(np.array([0, *map(int, mults.tolist())], dtype=object))
+    return cum.astype(np.int64) if cum[-1] < 2 ** 63 else cum
+
+
 class ExplicitSpectrum(CrossSection):
     """A cross-section known only through a truncated spectrum and a measure.
 
@@ -350,26 +398,47 @@ class ExplicitSpectrum(CrossSection):
     """
 
     def __init__(self, spectrum: Spectrum, measure: float):
-        if measure <= 0:
-            raise InvalidArgument(f"measure must be positive, got {measure}")
+        self._set_levels(spectrum.ambient_dim, *_entry_arrays(spectrum.entries),
+                         spectrum.truncation_bound, measure)
         self._spectrum = spectrum
+
+    @classmethod
+    def from_arrays(cls, ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
+                    truncation_bound: float, measure: float) -> ExplicitSpectrum:
+        """Build from eigenvalue and multiplicity columns, validated by
+        `_check_levels`; the grouped `spectrum` is built on first use."""
+        _check_levels(ambient_dim, eigs, mults, truncation_bound)
+        X = cls.__new__(cls)
+        X._set_levels(ambient_dim, eigs, mults, truncation_bound, measure)
+        return X
+
+    def _set_levels(self, ambient_dim, eigs, mults, truncation_bound, measure):
+        if not (math.isfinite(measure) and measure > 0):
+            raise InvalidArgument(
+                f"measure must be positive and finite, got {measure}")
+        self._ambient_dim = ambient_dim
+        self._bound = truncation_bound
         self._measure = measure
-        eigs, mults = zip(*spectrum.entries)
         # the level past the table reads as inf: nothing there is certified
-        self._eigs = np.array(eigs + (math.inf,))
-        cum = [0, *itertools.accumulate(mults)]
-        self._cum = np.array(cum, dtype=np.int64 if cum[-1] < 2 ** 63 else object)
+        self._eigs = np.append(eigs, math.inf)
+        self._cum = _cumulative(mults)
+        self._spectrum = None
 
     @property
     def ambient_dim(self) -> int:
-        return self._spectrum.ambient_dim
+        return self._ambient_dim
 
     @property
     def spectrum(self) -> Spectrum:
+        """The level table as grouped entries, built on first use."""
+        if self._spectrum is None:
+            entries = zip(self._eigs[:-1].tolist(), np.diff(self._cum).tolist())
+            self._spectrum = Spectrum(self._ambient_dim, tuple(entries),
+                                      self._bound)
         return self._spectrum
 
     def certified_bound(self) -> float:
-        return self._spectrum.truncation_bound
+        return self._bound
 
     def level_eigenvalue(self, i):
         return self._eigs[i]
@@ -406,28 +475,64 @@ class MetricCircleNumeric(Circle):
 
 # -- spectrum JSON interchange ---------------------------------------------
 
+def _finite_number(value) -> bool:
+    """Whether a parsed JSON value is a number that a finite float holds."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _numbers(key: str, values: list, convert) -> np.ndarray:
+    """`convert(values)` once every value is a JSON number, else an error
+    naming the first entry whose `key` is not a finite number."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return convert(values)
+        except OverflowError:  # an integer past the float range
+            pass
+    i = next(i for i, v in enumerate(values) if not _finite_number(v))
+    raise InvalidArgument(
+        f"entry {i}: '{key}' must be a finite number, got {json.dumps(values[i])}")
+
+
 def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
     """Build an ExplicitSpectrum from the documented JSON layout.
 
     Layout: {"ambient_dim": n, "measure": m, "truncation_bound": L,
-    "entries": [{"lambda": x, "mult": k}, ...]}.  Violations are rejected
-    with the offending entry index in the message.
+    "entries": [{"lambda": x, "mult": k}, ...]}.  The two entry columns
+    are read into arrays and validated by `_check_levels`; violations are
+    rejected with the source and the offending entry index in the message.
     """
-    for key in ("ambient_dim", "measure", "entries", "truncation_bound"):
-        if key not in doc:
-            raise InvalidArgument(f"{source}: missing required key '{key}'")
-    entries = []
-    for i, ent in enumerate(doc["entries"]):
-        if "lambda" not in ent or "mult" not in ent:
-            raise InvalidArgument(
-                f"{source}: entry {i} must have 'lambda' and 'mult'")
-        entries.append((float(ent["lambda"]), int(ent["mult"])))
     try:
-        spec = Spectrum(int(doc["ambient_dim"]), tuple(entries),
-                        float(doc["truncation_bound"]))
+        if not isinstance(doc, dict):
+            raise InvalidArgument("a spectrum document must be a JSON object")
+        for key in ("ambient_dim", "measure", "entries", "truncation_bound"):
+            if key not in doc:
+                raise InvalidArgument(f"missing required key '{key}'")
+        dim = doc["ambient_dim"]
+        if not (_finite_number(dim) and dim % 1 == 0):
+            raise InvalidArgument(
+                f"'ambient_dim' must be an integer, got {json.dumps(dim)}")
+        for key in ("measure", "truncation_bound"):
+            if not _finite_number(doc[key]):
+                raise InvalidArgument(
+                    f"'{key}' must be a finite number, got {json.dumps(doc[key])}")
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise InvalidArgument(
+                f"'entries' must be a list, got {json.dumps(entries)}")
+        try:
+            lams = [ent["lambda"] for ent in entries]
+            mults = [ent["mult"] for ent in entries]
+        except (KeyError, TypeError):
+            i = next(i for i, ent in enumerate(entries) if not (
+                isinstance(ent, dict) and "lambda" in ent and "mult" in ent))
+            raise InvalidArgument(
+                f"entry {i} must have 'lambda' and 'mult'") from None
+        return ExplicitSpectrum.from_arrays(
+            int(dim), _numbers("lambda", lams, lambda v: np.array(v, dtype=float)),
+            _numbers("mult", mults, _exact_array),
+            float(doc["truncation_bound"]), float(doc["measure"]))
     except InvalidArgument as exc:
         raise InvalidArgument(f"{source}: {exc}") from exc
-    return ExplicitSpectrum(spec, float(doc["measure"]))
 
 
 def load_spectrum(path: str) -> ExplicitSpectrum:

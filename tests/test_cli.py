@@ -204,6 +204,43 @@ class TestExitCodes:
         assert doc["error"]["type"] == "InvalidArgument"
         assert doc["error"]["exit_code"] == EXIT_USAGE
 
+    @pytest.mark.parametrize("change, entry", [
+        ({"entries": [{"lambda": 0.0, "mult": 1}, 5]}, 1),
+        ({"entries": [{"lambda": 0.0, "mult": 1}, {"lambda": None, "mult": 2}]}, 1),
+        ({"entries": [{"lambda": 0.0, "mult": 1}, {"lambda": "abc", "mult": 2}]}, 1),
+        ({"entries": [{"lambda": 0.0, "mult": 1}, {"lambda": 4.0, "mult": 2.5}]}, 1),
+        ({"entries": [{"lambda": 0.0, "mult": 1}, {"lambda": 4.0, "mult": True}]}, 1),
+        ({"entries": [{"lambda": 0.0, "mult": 1}, {"lambda": 4.0, "mult": 2},
+                      {"lambda": math.nan, "mult": 2}]}, 2),
+        ({"entries": 5}, None),
+        ({"truncation_bound": math.nan}, None),
+        ({"truncation_bound": math.inf}, None),
+        ({"measure": math.nan}, None),
+    ])
+    def test_usage_error_on_malformed_spectrum_file(self, capsys, tmp_path,
+                                                    change, entry):
+        doc = {"ambient_dim": 2, "measure": math.pi, "truncation_bound": 20.0,
+               "entries": [{"lambda": 0.0, "mult": 1}]} | change
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, doc = run_json(capsys, "count", "--cross-section",
+                             f"spectrum:{path}", "--lambda", "1e9", "5")
+        assert code == EXIT_USAGE
+        assert doc["schema"] == "coneh/1"
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+        assert str(path) in doc["error"]["message"]
+        if entry is not None:
+            assert f"entry {entry}" in doc["error"]["message"]
+
+    def test_count_reports_first_bad_lambda(self, capsys):
+        # the whole list is looked up at once; the error is still the one
+        # of its first bad entry
+        code, doc = run_json(capsys, "count", "--cross-section", "circle:3",
+                             "--lambda", "5", "-1", "nan")
+        assert code == EXIT_USAGE
+        assert "nonnegative" in doc["error"]["message"]
+
     def test_usage_error_on_unknown_flag(self, capsys):
         code = main(["count", "--cross-section", "sphere:2"])
         capsys.readouterr()

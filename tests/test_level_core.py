@@ -12,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from coneh import (Circle, ExplicitSpectrum, InvalidArgument, RoundSphere,
-                   Spectrum, eigenvalue_from_exponent, exponent_from_eigenvalue,
-                   growth, hk_staircase, spectra)
+from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
+                   ResolutionInsufficient, RoundSphere, Spectrum,
+                   eigenvalue_from_exponent, exponent_from_eigenvalue, growth,
+                   hk_staircase, spectra)
 
 TWO_PI = 2.0 * math.pi
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
@@ -52,10 +53,27 @@ def probes(X, rng):
 
 @pytest.mark.parametrize("X", CROSS_SECTIONS)
 def test_counting_matches_brute_force(X):
-    for lam in probes(X, np.random.default_rng(5)):
+    lams = probes(X, np.random.default_rng(5))
+    for lam in lams:
         count, left = X.counting(lam), X.counting_left(lam)
         assert type(count) is int and type(left) is int
         assert (count, left) == brute_counts(X, lam), lam
+    # the array forms answer the whole list in one lookup each
+    batch = zip(X.count_array(np.array(lams)).tolist(),
+                X.count_left_array(np.array(lams)).tolist())
+    assert list(batch) == [brute_counts(X, lam) for lam in lams]
+
+
+@pytest.mark.parametrize("lams, error, message", [
+    ([5.0, -1.0, math.nan], InvalidArgument, "nonnegative"),
+    ([5.0, math.inf, -1.0], InvalidArgument, "finite"),
+    ([5.0, 1e9, -1.0], ResolutionInsufficient, "certified bound"),
+])
+def test_count_arrays_report_first_bad_entry(lams, error, message):
+    X = random_spectrum(3)
+    for count in (X.count_array, X.count_left_array):
+        with pytest.raises(error, match=message):
+            count(np.array(lams))
 
 
 @pytest.mark.parametrize("X", CROSS_SECTIONS)

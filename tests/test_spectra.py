@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -180,6 +181,163 @@ class TestJsonInterchange:
         path.write_text("{\n  \"ambient_dim\": 2,\n  oops\n}")
         with pytest.raises(InvalidArgument, match=r"broken.json:3"):
             load_spectrum(str(path))
+
+
+def write_entries(path, entries, measure=5.0, bound=None, n=3):
+    bound = entries[-1][0] + 10.0 if bound is None else bound
+    path.write_text(json.dumps({
+        "ambient_dim": n, "measure": measure, "truncation_bound": bound,
+        "entries": [{"lambda": lam, "mult": m} for lam, m in entries]}))
+    return str(path)
+
+
+def random_entries(seed, size):
+    rng = np.random.default_rng(seed)
+    lams = np.cumsum(rng.uniform(1e-3, 50.0, size - 1)).tolist()
+    mults = rng.integers(1, 40, size - 1).tolist()
+    return [(0.0, 1), *zip(lams, mults)]
+
+
+class TestArrayLoader:
+    """load_spectrum reads the columns as arrays; it must build the same
+    level table as ExplicitSpectrum(Spectrum(...)) from the same entries."""
+
+    @pytest.mark.parametrize("entries", [
+        *[random_entries(seed, size)
+          for seed, size in [(1, 1), (2, 2), (3, 50), (4, 3000)]],
+        # cumulative multiplicity just below, at and past 2**63
+        [(0.0, 1), (1.0, 2 ** 62), (2.0, 2 ** 62 - 2)],
+        [(0.0, 1), (1.0, 2 ** 62), (2.0, 2 ** 62 - 1)],
+        [(0.0, 1), (1.0, 2 ** 62), (2.5, 2 ** 62), (7.0, 3)],
+        [(0.0, 1), (1.0, 2 ** 63 + 1), (2.0, 5)],
+        [(0.0, 1), (3.0, 10 ** 30), (4.0, 2)],
+    ])
+    def test_matches_spectrum_constructor(self, tmp_path, entries):
+        loaded = load_spectrum(write_entries(tmp_path / "s.json", entries))
+        bound = entries[-1][0] + 10.0
+        built = ExplicitSpectrum(Spectrum(3, tuple(entries), bound), 5.0)
+        for attr in ("_eigs", "_cum"):
+            a, b = getattr(loaded, attr), getattr(built, attr)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        cum = list(itertools.accumulate(m for _, m in entries))
+        assert loaded._cum.tolist() == [0, *cum]
+        assert loaded._cum.dtype == (np.int64 if cum[-1] < 2 ** 63 else object)
+        assert loaded._eigs.tolist() == [lam for lam, _ in entries] + [math.inf]
+        lams = np.random.default_rng(0).uniform(0.0, bound, 200)
+        lams = np.concatenate((lams, [lam for lam, _ in entries]))
+        for count in ("count_array", "count_left_array"):
+            assert (getattr(loaded, count)(lams).tolist()
+                    == getattr(built, count)(lams).tolist())
+        assert (loaded.ambient_dim, loaded.certified_bound(), loaded.measure()) \
+            == (3, bound, 5.0)
+        assert loaded.spectrum == built.spectrum
+        assert loaded.spectrum.to_json(measure=5.0) == \
+            built.spectrum.to_json(measure=5.0)
+        assert loaded.spectrum_upto(bound) == built.spectrum_upto(bound)
+
+    def test_integral_float_multiplicity_reads_as_int(self, tmp_path):
+        X = load_spectrum(write_entries(tmp_path / "s.json",
+                                        [(0.0, 1.0), (2.0, 3.0)]))
+        assert X.spectrum.entries == ((0.0, 1), (2.0, 3))
+        assert type(X.spectrum.entries[1][1]) is int
+
+    def test_grouped_spectrum_is_built_lazily(self, tmp_path):
+        X = load_spectrum(write_entries(tmp_path / "s.json", random_entries(5, 20)))
+        assert X._spectrum is None
+        X.counting(30.0), X.ambient_dim, X.certified_bound()
+        assert X._spectrum is None
+        assert X.spectrum is X.spectrum
+
+
+#: One broken rule per case: (entries, bound, message); each names entry 2.
+BROKEN_ENTRIES = [
+    ([(0.0, 1), (1.0, 2), (-1.0, 2)], 10.0, "negative eigenvalue"),
+    ([(0.0, 1), (4.0, 2), (4.0, 2)], 10.0, "strictly increasing"),
+    ([(0.0, 1), (4.0, 2), (1.0, 2)], 10.0, "strictly increasing"),
+    ([(0.0, 1), (1.0, 2), (2.0, 0)], 10.0, "positive integer"),
+    ([(0.0, 1), (1.0, 2), (2.0, -3)], 10.0, "positive integer"),
+    ([(0.0, 1), (1.0, 2), (2.0, 2.5)], 10.0, "positive integer"),
+    ([(0.0, 1), (1.0, 2), (2.0, math.nan)], 10.0, "positive integer"),
+    ([(0.0, 1), (1.0, 2), (2.0, math.inf)], 10.0, "positive integer"),
+    ([(0.0, 1), (1.0, 2), (11.0, 2)], 10.0, "exceeds truncation"),
+    ([(0.0, 1), (1.0, 2), (math.inf, 2)], 10.0, "exceeds truncation"),
+    ([(0.0, 1), (1.0, 2), (math.nan, 2)], 10.0, "must be finite"),
+    # the first broken entry is named, with the first rule it breaks
+    ([(0.0, 1), (1.0, 2), (-1.0, 0), (0.5, 0)], 10.0, "negative eigenvalue"),
+    ([(0.0, 1), (1.0, 2), (math.nan, 2), (-1.0, 2)], 10.0, "must be finite"),
+]
+
+
+class TestValidationRules:
+    @pytest.mark.parametrize("entries, bound, message", BROKEN_ENTRIES)
+    def test_spectrum_names_entry(self, entries, bound, message):
+        with pytest.raises(InvalidArgument, match=f"entry 2: .*{message}"):
+            Spectrum(2, tuple(entries), bound)
+
+    @pytest.mark.parametrize("entries, bound, message", BROKEN_ENTRIES)
+    def test_file_names_entry_and_path(self, tmp_path, entries, bound, message):
+        path = write_entries(tmp_path / "rules.json", entries, bound=bound)
+        with pytest.raises(InvalidArgument,
+                           match=f"rules.json: entry 2: .*{message}"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("value", [True, False, None, "2", [2], {"m": 2}])
+    def test_file_multiplicity_must_be_a_number(self, tmp_path, value):
+        path = write_entries(tmp_path / "m.json", [(0.0, 1), (1.0, value)])
+        with pytest.raises(InvalidArgument, match="m.json: entry 1: 'mult'"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("value", [None, "abc", "4.0", True, 10 ** 400])
+    def test_file_eigenvalue_must_be_a_number(self, tmp_path, value):
+        path = write_entries(tmp_path / "l.json", [(0.0, 1), (value, 2)],
+                             bound=10.0)
+        with pytest.raises(InvalidArgument, match="l.json: entry 1: 'lambda'"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("entry", [5, None, [4.0, 2], {"lambda": 4.0}])
+    def test_file_entry_must_be_an_object(self, tmp_path, entry):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "measure": 1.0, "truncation_bound": 10.0,
+            "entries": [{"lambda": 0.0, "mult": 1}, entry]}))
+        with pytest.raises(InvalidArgument, match="e.json: entry 1 must have"):
+            load_spectrum(str(path))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"entries": 5}, "'entries' must be a list"),
+        ({"ambient_dim": 2.5}, "'ambient_dim' must be an integer"),
+        ({"ambient_dim": "2"}, "'ambient_dim' must be an integer"),
+        ({"ambient_dim": 1}, "ambient_dim must be >= 2"),
+        ({"measure": math.nan}, "'measure' must be a finite number"),
+        ({"measure": math.inf}, "'measure' must be a finite number"),
+        ({"measure": 0.0}, "measure must be positive"),
+        ({"truncation_bound": math.nan}, "'truncation_bound' must be a finite"),
+        ({"truncation_bound": -math.inf}, "'truncation_bound' must be a finite"),
+        ({"entries": []}, "spectrum must contain at least lambda_0"),
+    ])
+    def test_file_header(self, tmp_path, change, message):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "measure": 1.0, "truncation_bound": 10.0,
+            "entries": [{"lambda": 0.0, "mult": 1}]} | change))
+        with pytest.raises(InvalidArgument, match=f"h.json: {message}"):
+            load_spectrum(str(path))
+
+    def test_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InvalidArgument, match="list.json: .*JSON object"):
+            load_spectrum(str(path))
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_spectrum_rejects_non_finite_bound(self, bound):
+        with pytest.raises(InvalidArgument, match="truncation bound"):
+            Spectrum(2, ((0.0, 1),), bound)
+
+    @pytest.mark.parametrize("measure", [math.nan, math.inf, -1.0])
+    def test_explicit_spectrum_rejects_bad_measure(self, measure):
+        with pytest.raises(InvalidArgument, match="measure"):
+            ExplicitSpectrum(Spectrum(2, ((0.0, 1),), 1.0), measure)
 
 
 class TestCircleBounds:
