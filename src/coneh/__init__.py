@@ -16,8 +16,8 @@ from .growth import (CollapsedReport, EmpiricalRatio, GrowthReport,
                      hk_staircase, weyl_ratio)
 from .harmonics import (ConeHarmonic, Mode, circle_mode,
                         cone_harmonic_from_json, evaluate,
-                        frequency_identity_check, sharp_growth_order,
-                        three_circles_ratio)
+                        frequency_identity_check, load_harmonic,
+                        sharp_growth_order, three_circles_ratio)
 from .harmonics import I, D, U, J  # noqa: E741 - standard functional names
 from .gridcheck import (ConeGrid, convergence_order, grid_J,
                         laplacian_residual, sample_function, sample_harmonic)

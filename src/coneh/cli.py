@@ -161,8 +161,7 @@ def cmd_collapsed(args) -> int:
 
 
 def cmd_frequency(args) -> int:
-    with open(args.harmonic) as fh:
-        u = harmonics.cone_harmonic_from_json(json.load(fh))
+    u = harmonics.load_harmonic(args.harmonic)
     svals = args.s
     table = [{"s": s, "I": harmonics.I(u, s), "D": harmonics.D(u, s),
               "U": harmonics.U(u, s), "J": harmonics.J(u, s)} for s in svals]
@@ -182,8 +181,7 @@ def cmd_frequency(args) -> int:
 
 
 def cmd_three_circles(args) -> int:
-    with open(args.harmonic) as fh:
-        u = harmonics.cone_harmonic_from_json(json.load(fh))
+    u = harmonics.load_harmonic(args.harmonic)
     verdicts = []
     for s in args.s:
         res = harmonics.three_circles_ratio(u, s, args.k)

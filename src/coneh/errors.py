@@ -16,18 +16,13 @@ class ResolutionInsufficient(ConehError):
     that *is* certified, so callers can retry with a smaller request.
     """
 
-    def __init__(self, message, certified_bound=None, error_bars=None):
+    def __init__(self, message, certified_bound=None):
         super().__init__(message)
         self.certified_bound = certified_bound
-        self.error_bars = error_bars
 
 
 class NumericFailure(ConehError):
-    """An iterative numeric procedure failed to converge."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A numeric procedure failed, or would pass its resource ceiling."""
 
 
 class DegenerateInput(ConehError, ValueError):

@@ -535,12 +535,16 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
         raise InvalidArgument(f"{source}: {exc}") from exc
 
 
-def load_spectrum(path: str) -> ExplicitSpectrum:
-    """Load and validate a spectrum JSON file."""
+def _read_json(path: str):
+    """The parsed JSON document at `path`; a syntax error is InvalidArgument."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidArgument(
                 f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return spectrum_from_json(doc, source=path)
+
+
+def load_spectrum(path: str) -> ExplicitSpectrum:
+    """Load and validate a spectrum JSON file."""
+    return spectrum_from_json(_read_json(path), source=path)

@@ -142,6 +142,26 @@ class TestReports:
         assert code == EXIT_OK
         assert all(v["satisfied"] for v in doc["three_circles"])
 
+    def test_functionals_past_the_float_range(self, capsys, tmp_path):
+        # exponents 200 and 1: I, D and J overflow at s = 10, U and the
+        # identity residual must not
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 2, "modes": [
+            {"alpha": 200.0, "c": 1.0, "mode_id": 1},
+            {"alpha": 1.0, "c": 1.0, "mode_id": 2}]}))
+        code, doc = run_json(capsys, "frequency", "--harmonic", str(path),
+                             "--s", "1", "10")
+        assert code == EXIT_OK
+        top = doc["table"][1]
+        assert top["I"] == top["D"] == top["J"] == math.inf
+        assert abs(top["U"] - 200.0) <= 1e-9
+        assert doc["identity_residuals"][0]["residual"] <= 1e-8
+        code, doc = run_json(capsys, "three-circles", "--harmonic", str(path),
+                             "--k", "200", "--s", "10")
+        assert code == EXIT_OK
+        verdict = doc["three_circles"][0]
+        assert math.isfinite(verdict["ratio"]) and verdict["satisfied"]
+
     def test_verify_grid_report(self, capsys):
         code, doc = run_json(capsys, "verify-grid", "--mode", "1", "1", "1",
                              "--resolutions", "32", "64", "128")
@@ -196,8 +216,13 @@ class TestExitCodes:
         ["hk", "--cross-section", "sphere:2", "--n", "3", "--k", "1e308"],
         ["asymptotic", "--cross-section", "circle:3", "--n", "2", "--k", "inf"],
         ["weyl", "--cross-section", "circle:3", "--n", "2", "--lambda", "nan"],
+        ["frequency", "--harmonic", "HARMONIC", "--s", "nan", "2"],
+        ["three-circles", "--harmonic", "HARMONIC", "--k", "nan", "--s", "1"],
+        ["three-circles", "--harmonic", "HARMONIC", "--k", "2", "--s", "inf"],
     ])
-    def test_usage_error_on_non_finite_input(self, capsys, argv):
+    def test_usage_error_on_non_finite_input(self, capsys, harmonic_file,
+                                             argv):
+        argv = [harmonic_file if a == "HARMONIC" else a for a in argv]
         code, doc = run_json(capsys, *argv)
         assert code == EXIT_USAGE
         assert doc["schema"] == "coneh/1"
@@ -232,6 +257,42 @@ class TestExitCodes:
         assert str(path) in doc["error"]["message"]
         if entry is not None:
             assert f"entry {entry}" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("modes, mode", [
+        ([{"alpha": "abc", "c": 1.0, "mode_id": 1}], 0),
+        ([{"alpha": 1.0, "c": 1.0, "mode_id": 1},
+          {"alpha": math.nan, "c": 1.0, "mode_id": 2}], 1),
+        ([{"alpha": 1.0, "c": math.inf, "mode_id": 1}], 0),
+        ([{"alpha": 1.0, "c": 1.0, "mode_id": 1},
+          {"alpha": -2.0, "c": 1.0, "mode_id": 2}], 1),
+        ([{"alpha": 1.0, "c": 1.0, "mode_id": 1}, {"alpha": 2.0}], 1),
+        (5, None),
+        (None, None),
+    ])
+    def test_usage_error_on_malformed_harmonic_file(self, capsys, tmp_path,
+                                                    modes, mode):
+        doc = {"n": 2} if modes is None else {"n": 2, "modes": modes}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["frequency", "--s", "1", "2"],
+                     ["three-circles", "--k", "3", "--s", "1"]):
+            code, doc = run_json(capsys, *argv, "--harmonic", str(path))
+            assert code == EXIT_USAGE
+            assert doc["schema"] == "coneh/1"
+            assert doc["error"]["type"] == "InvalidArgument"
+            assert doc["error"]["exit_code"] == EXIT_USAGE
+            assert str(path) in doc["error"]["message"]
+            if mode is not None:
+                assert f"mode {mode}" in doc["error"]["message"]
+
+    def test_usage_error_on_harmonic_file_syntax(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"n": 2, "modes": [')
+        code, doc = run_json(capsys, "frequency", "--harmonic", str(path),
+                             "--s", "1")
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert str(path) in doc["error"]["message"]
 
     def test_count_reports_first_bad_lambda(self, capsys):
         # the whole list is looked up at once; the error is still the one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneh import (Circle, ConeHarmonic, DegenerateInput, InvalidArgument,
-                   Mode, PreconditionViolation, RoundSphere,
+                   Mode, NumericFailure, PreconditionViolation, RoundSphere,
                    UnsupportedCrossSection, circle_mode,
                    cone_harmonic_from_json, evaluate,
                    frequency_identity_check, sharp_growth_order,
@@ -34,6 +34,12 @@ class TestConeHarmonicType:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(InvalidArgument):
             ConeHarmonic(2, (Mode(0.0, 1.0, 1),))
+
+    @pytest.mark.parametrize("alpha, c", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_finite_mode(self, alpha, c):
+        with pytest.raises(InvalidArgument, match="mode 1"):
+            ConeHarmonic(2, (Mode(1.0, 1.0, 1), Mode(alpha, c, 2)))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidArgument):
@@ -120,6 +126,42 @@ class TestClosedForms:
         with pytest.raises(InvalidArgument):
             harmonics.I(self.U2, 0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -1.0,
+                                   np.array([1.0, math.nan])])
+    def test_rejects_non_finite_radius(self, s):
+        for functional in (harmonics.I, harmonics.D, harmonics.U, harmonics.J):
+            with pytest.raises(InvalidArgument, match="finite"):
+                functional(self.U2, s)
+
+    def test_radius_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        grid = np.geomspace(1e-3, 1e3, 17)
+        for _ in range(10):
+            u = random_sum(rng)
+            for functional in (harmonics.I, harmonics.D, harmonics.U,
+                               harmonics.J):
+                values = functional(u, grid)
+                assert values.shape == grid.shape
+                for s, v in zip(grid, values):
+                    assert v == pytest.approx(functional(u, float(s)),
+                                              rel=1e-14)
+
+    def test_frequency_at_tiny_radius(self):
+        # c^2 s^(2 alpha) underflows to 0 here, the log weights do not
+        u = ConeHarmonic(2, (Mode(2.5, 3.0, 1),))
+        assert harmonics.U(u, 1e-200) == 2.5
+        v = ConeHarmonic(2, (Mode(1.0, 1.0, 1), Mode(4.0, 1e-170, 3)))
+        assert harmonics.U(v, 1e-200) == pytest.approx(1.0, abs=1e-12)
+
+    def test_functionals_past_the_float_range(self):
+        u = ConeHarmonic(2, (Mode(200.0, 1.0, 1), Mode(1.0, 1.0, 2)))
+        assert harmonics.I(u, 10.0) == harmonics.D(u, 10.0) == math.inf
+        assert harmonics.J(u, 10.0) == math.inf
+        assert harmonics.U(u, 10.0) == pytest.approx(200.0, abs=1e-9)
+        assert frequency_identity_check(u, 1.0, 10.0) <= 1e-8
+        res = three_circles_ratio(u, 10.0, 200.0)
+        assert math.isfinite(res.ratio) and res.satisfied
+
 
 class TestFrequencyIdentity:
     def test_single_mode_exact(self):
@@ -137,6 +179,30 @@ class TestFrequencyIdentity:
         u = ConeHarmonic(2, (Mode(1.0, 1.0, 1),))
         with pytest.raises(InvalidArgument):
             frequency_identity_check(u, 2.0, 1.0)
+        for r, s in ((1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)):
+            with pytest.raises(InvalidArgument):
+                frequency_identity_check(u, r, s)
+
+    @pytest.mark.parametrize("spread", [20.0, 64.0, 200.0])
+    def test_sharp_crossover(self, spread):
+        # two modes whose weights cross at a random t in [r, s], s/r = 100:
+        # U steps from 0.05 to 0.05 + spread over a width of about
+        # 1/(2 spread) in log t, narrower than a panel of a fixed 16- or
+        # 32-panel rule for the two larger spreads
+        rng = np.random.default_rng(int(spread))
+        r, s = 0.1, 10.0
+        for _ in range(10):
+            log_t = math.log(r) + rng.uniform(0.0, math.log(s / r))
+            u = ConeHarmonic(2, (Mode(0.05, 1.0, 1),
+                                 Mode(0.05 + spread,
+                                      math.exp(-spread * log_t), 2)))
+            assert frequency_identity_check(u, r, s) <= 1e-8
+
+    def test_rule_past_the_ceiling(self):
+        u = ConeHarmonic(2, (Mode(0.05, 1.0, 1), Mode(1e6, 1.0, 2)))
+        panels = math.ceil((1e6 - 0.05) * math.log(1e3))
+        with pytest.raises(NumericFailure, match=f"needs {panels} "):
+            frequency_identity_check(u, 1.0, 1e3)
 
 
 class TestThreeCircles:
@@ -161,6 +227,13 @@ class TestThreeCircles:
         u = ConeHarmonic(2, (Mode(1.0, 1.0, 1), Mode(5.0, 1.0, 9)))
         with pytest.raises(PreconditionViolation, match="mode_id = 9"):
             three_circles_ratio(u, 1.0, 3.0)
+
+    @pytest.mark.parametrize("s, k", [(1.0, math.nan), (1.0, math.inf),
+                                      (math.inf, 2.0), (math.nan, 2.0)])
+    def test_rejects_non_finite_radius_or_order(self, s, k):
+        u = ConeHarmonic(2, (Mode(1.0, 1.0, 1),))
+        with pytest.raises(InvalidArgument, match="finite"):
+            three_circles_ratio(u, s, k)
 
     def test_cap_equals_k_in_all_dimensions(self):
         # the admissible exponent at eigenvalue k(k+n-2) is k itself
