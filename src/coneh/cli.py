@@ -197,9 +197,8 @@ def cmd_three_circles(args) -> int:
 
 
 def cmd_verify_grid(args) -> int:
-    alpha, j, c = args.mode
     order, residuals = gridcheck.convergence_order(
-        (alpha, int(j), c), args.length, tuple(args.window), args.resolutions)
+        tuple(args.mode), args.length, tuple(args.window), args.resolutions)
     ok = 1.8 <= order <= 2.2
     doc = _report({"mode": list(args.mode), "length": args.length,
                    "window": list(args.window),

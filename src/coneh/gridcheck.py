@@ -5,18 +5,36 @@ on an (r, theta) annulus grid (the tip is excised; the polar-form operator
 is singular there), the cone Laplacian u_rr + u_r / r + u_tt / r^2 is
 applied by centered differences, and ball averages are recomputed by
 tensor-product trapezoid quadrature.
+
+Sampling and the residual sweep the grid in blocks of whole rows of about
+`_BLOCK` points: their time is linear in the number of grid points, and
+besides the grid itself they hold only a few block-sized buffers.
+
+A grid needs a positive, finite circle length and a radial window
+0 < r_min < r_max < inf; `convergence_order` also needs an integral mode
+number >= 1, a nonzero coefficient and resolutions of at least 3.
+Violations raise InvalidArgument.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .harmonics import ConeHarmonic, circle_eigenfunction, circle_mode
+from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
 from .spectra import Circle
+
+_BLOCK = 32768  # points per row block: a block and its buffers fit in L2
+
+
+def _row_blocks(start: int, stop: int, m_theta: int) -> list[tuple[int, int]]:
+    """Bounds (i0, i1) of consecutive blocks of rows covering [start, stop)."""
+    step = max(1, _BLOCK // m_theta)
+    return [(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 @dataclass(frozen=True)
@@ -33,11 +51,15 @@ class ConeGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max:
+        if not 0 < self.L < math.inf:
             raise InvalidArgument(
-                f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        if self.values.ndim != 2:
-            raise InvalidArgument("values must be a 2D (r, theta) array")
+                f"circle length must be positive and finite, got {self.L}")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise InvalidArgument(
+                f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
+        if self.values.ndim != 2 or 0 in self.values.shape:
+            raise InvalidArgument(
+                "values must be a non-empty 2D (r, theta) array")
 
     @property
     def m_r(self) -> int:
@@ -58,13 +80,24 @@ class ConeGrid:
 
 def sample_harmonic(u: ConeHarmonic, L: float, r_min: float, r_max: float,
                     m_r: int, m_theta: int) -> ConeGrid:
-    """Sample a circle-cone harmonic on the annulus grid (vectorized)."""
-    r = np.linspace(r_min, r_max, m_r)[:, None]
-    theta = (np.arange(m_theta) * L / m_theta)[None, :]
-    vals = sum((m.c * r ** m.alpha * circle_eigenfunction(L, m.mode_id, theta)
-                for m in u.modes if m.c != 0.0 and m.mode_id != 0),
-               np.full((m_r, m_theta), float(u.constant_term)))
-    return ConeGrid(L, r_min, r_max, vals)
+    """Sample a circle-cone harmonic on the annulus grid.
+
+    Each mode is a radial column c r^alpha times a theta row phi(theta);
+    the modes are added to the constant term in order, one row block at a
+    time, into the grid's own array.
+    """
+    grid = ConeGrid(L, r_min, r_max, np.empty((m_r, m_theta)))
+    r, theta = grid.r_nodes[:, None], grid.theta_nodes
+    terms = [(m.c * r ** m.alpha, circle_eigenfunction(L, m.mode_id, theta))
+             for m in u.modes if m.c != 0.0 and m.mode_id != 0]
+    blocks = _row_blocks(0, m_r, m_theta)
+    tmp = np.empty((blocks[0][1] - blocks[0][0], m_theta))
+    for i0, i1 in blocks:
+        vals, t = grid.values[i0:i1], tmp[:i1 - i0]
+        vals.fill(float(u.constant_term))
+        for col, row in terms:
+            vals += np.multiply(col[i0:i1], row, out=t)
+    return grid
 
 
 def sample_function(f, L: float, r_min: float, r_max: float,
@@ -81,6 +114,9 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
 
     Centered second-order differences in r and theta, periodic in theta;
     for an exact cone harmonic the residual is pure O(h^2) truncation.
+    Each point is evaluated as ((u+ - 2u) + u-) / dr^2, plus
+    (u+ - u-) / (2 dr) / r, plus the theta term / dt^2 / r^2, one block of
+    rows at a time; the theta wrap reads the edge columns.
     """
     if grid.m_r < 3 or grid.m_theta < 3:
         raise InvalidArgument("need at least 3 points in each direction")
@@ -88,32 +124,65 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     r = grid.r_nodes[:, None]
     dr = (grid.r_max - grid.r_min) / (grid.m_r - 1)
     dt = grid.L / grid.m_theta
+    dr2, two_dr, dt2 = dr ** 2, 2.0 * dr, dt ** 2
 
-    u_rr = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / dr ** 2
-    u_r = (u[2:, :] - u[:-2, :]) / (2.0 * dr)
-    u_tt = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1))[1:-1, :] \
-        / dt ** 2
-    ri = r[1:-1, :]
-    res = u_rr + u_r / ri + u_tt / ri ** 2
-    return float(np.max(np.abs(res))), float(np.sqrt(np.mean(res ** 2)))
+    blocks = _row_blocks(1, grid.m_r - 1, grid.m_theta)
+    rows = blocks[0][1] - blocks[0][0]
+    two_u, res, tmp = np.empty((3, rows, grid.m_theta))
+    peak, sum_sq = 0.0, 0.0
+    for i0, i1 in blocks:
+        mid, up, down = u[i0:i1], u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1]
+        ri = r[i0:i1]
+        two, out, t = two_u[:i1 - i0], res[:i1 - i0], tmp[:i1 - i0]
+        np.multiply(2.0, mid, out=two)
+        np.subtract(up, two, out=out)
+        out += down
+        out /= dr2
+        np.subtract(up, down, out=t)
+        t /= two_dr
+        t /= ri
+        out += t
+        # (u(theta+) - 2u) + u(theta-) over the block read as one row, then
+        # the two edge columns again with the periodic neighbour
+        flat_mid, flat_t = mid.reshape(-1), t.reshape(-1)
+        np.subtract(flat_mid[1:], two.reshape(-1)[:-1], out=flat_t[:-1])
+        np.subtract(mid[:, 0], two[:, -1], out=t[:, -1])
+        flat_t[1:] += flat_mid[:-1]
+        np.subtract(mid[:, 1], two[:, 0], out=t[:, 0])
+        t[:, 0] += mid[:, -1]
+        t /= dt2
+        t /= ri ** 2
+        out += t
+        sum_sq += np.einsum("ij,ij->", out, out)  # no BLAS thread start-up
+        peak = np.maximum(peak, np.abs(out, out=t).max())
+    return float(peak), math.sqrt(sum_sq / ((grid.m_r - 2) * grid.m_theta))
 
 
-def convergence_order(mode: tuple[float, int, float], L: float,
+def convergence_order(mode: tuple[float, float, float], L: float,
                       window: tuple[float, float],
                       resolutions: list[int]) -> tuple[float, list[float]]:
     """Fitted order of the Laplacian residual for one cos mode.
 
-    mode = (alpha, j, c); each resolution m is used for both grid
-    directions.  Returns (least-squares slope of log residual vs log h,
-    residual max norms).  Exact cone harmonics give a slope near 2.
+    mode = (alpha, j, c) with an integral mode number j >= 1 and a nonzero
+    coefficient c; each resolution m >= 3 is used for both grid directions.
+    Returns (least-squares slope of log residual vs log h, residual max
+    norms).  Exact cone harmonics give a slope near 2.
     """
     if len(resolutions) < 3:
         raise InvalidArgument("need at least 3 resolutions")
+    if resolutions[0] < 3:
+        raise InvalidArgument(
+            f"resolutions must be at least 3, got {resolutions[0]}")
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
             raise InvalidArgument("resolutions must double")
     alpha, j, c = mode
-    u = ConeHarmonic(2, (circle_mode(L, j, "cos", c)._replace(alpha=alpha),))
+    if not (float(j).is_integer() and j >= 1):
+        raise InvalidArgument(f"mode number must be an integer >= 1, got {j}")
+    if c == 0.0:
+        raise InvalidArgument("mode coefficient must be nonzero")
+    # c r^alpha times the cos eigenfunction of mode number j (id 2j - 1)
+    u = ConeHarmonic(2, (Mode(alpha, c, 2 * int(j) - 1),))
     r_min, r_max = window
     residuals = []
     for m in resolutions:

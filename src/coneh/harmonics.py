@@ -53,6 +53,13 @@ class ConeHarmonic:
                     f"mode {i}: coefficient must be finite, got {m.c}")
         object.__setattr__(self, "modes",
                            tuple(sorted(self.modes, key=lambda m: m.alpha)))
+        # the functionals' inputs, built once: exponents of the active modes
+        # and their log |c|.  alpha stays a strided column of the (alpha, c)
+        # table: U's matrix product rounds differently on a contiguous copy.
+        alpha, c = np.array([m[:2] for m in self.active_modes],
+                            dtype=float).reshape(-1, 2).T
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_log_c", np.log(np.abs(c)))
 
     @property
     def active_modes(self) -> tuple[Mode, ...]:
@@ -144,10 +151,9 @@ def _log_weights(u: ConeHarmonic, s) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgument(
             "frequency functionals require the normalization u(tip) = 0; "
             "call drop_constant() first")
-    if not u.active_modes:
+    if not u._alpha.size:
         raise DegenerateInput("all mode coefficients vanish")
-    alpha, c = np.array([m[:2] for m in u.active_modes]).T
-    return alpha, 2.0 * (np.log(np.abs(c)) + alpha * np.log(s)[..., None])
+    return u._alpha, 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
 
 
 def _log_sum(logw: np.ndarray) -> np.ndarray:
@@ -235,7 +241,10 @@ def three_circles_ratio(u: ConeHarmonic, s: float, k: float
 
     The cap is the largest admissible exponent at growth order k, i.e.
     the exponent of the eigenvalue k(k+n-2), which is k itself.  A single
-    mode sitting exactly at the cap saturates the bound.
+    mode sitting exactly at the cap saturates the bound.  Past the float
+    range (cap above 512) the bound is reported as inf and the verdict
+    compares log ratio with 2 cap log 2; the ratio is inf when it too
+    overflows.
     """
     if not 0 < k < math.inf:
         raise InvalidArgument(f"k must be positive and finite, got {k}")
@@ -248,9 +257,17 @@ def three_circles_ratio(u: ConeHarmonic, s: float, k: float
                 f"exceeds the growth cap {cap}")
     log_j = logw - np.log(2.0 * alpha + u.n)
     log_j -= log_j.max()  # at s/2 each row entry drops by 2 alpha log 2
-    ratio = math.exp(_log_sum(log_j)
-                     - _log_sum(log_j - 2.0 * math.log(2.0) * alpha))
-    bound = 2.0 ** (2.0 * cap)
+    log_ratio = float(_log_sum(log_j)
+                      - _log_sum(log_j - 2.0 * math.log(2.0) * alpha))
+    try:
+        ratio = math.exp(log_ratio)
+    except OverflowError:
+        ratio = math.inf
+    try:
+        bound = 2.0 ** (2.0 * cap)
+    except OverflowError:  # cap past 512: decide in log space
+        return ThreeCirclesResult(ratio, math.inf, log_ratio <= (
+            2.0 * cap * math.log(2.0) + math.log1p(1e-12)))
     return ThreeCirclesResult(ratio, bound, ratio <= bound * (1.0 + 1e-12))
 
 

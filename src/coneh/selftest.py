@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import eigensolver, gridcheck, growth, harmonics
+from .errors import InvalidArgument
 from .harmonics import ConeHarmonic, Mode
 from .spectra import Circle, RoundSphere
 
@@ -28,7 +29,11 @@ def _random_mode_sum(rng: np.random.Generator, n: int = 2,
 
 
 def run_selftest(seed: int = 42) -> dict:
-    """Run every spot-check; returns a report with one entry per check."""
+    """Run every spot-check; returns a report with one entry per check.
+
+    The seed must be a non-negative integer."""
+    if seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -162,6 +162,15 @@ class TestReports:
         verdict = doc["three_circles"][0]
         assert math.isfinite(verdict["ratio"]) and verdict["satisfied"]
 
+    def test_three_circles_order_past_the_float_range(self, capsys,
+                                                       harmonic_file):
+        code, doc = run_json(capsys, "three-circles", "--harmonic",
+                             harmonic_file, "--k", "600", "--s", "1")
+        assert code == EXIT_OK
+        verdict = doc["three_circles"][0]
+        assert verdict["bound"] == math.inf and verdict["satisfied"]
+        assert math.isfinite(verdict["ratio"])
+
     def test_verify_grid_report(self, capsys):
         code, doc = run_json(capsys, "verify-grid", "--mode", "1", "1", "1",
                              "--resolutions", "32", "64", "128")
@@ -223,6 +232,23 @@ class TestExitCodes:
     def test_usage_error_on_non_finite_input(self, capsys, harmonic_file,
                                              argv):
         argv = [harmonic_file if a == "HARMONIC" else a for a in argv]
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert doc["schema"] == "coneh/1"
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-grid", "--mode", "1", "1", "1", "--length", "-1"],
+        ["verify-grid", "--mode", "1", "1", "1", "--length", "inf"],
+        ["verify-grid", "--mode", "1", "1", "1", "--window", "0.5", "inf"],
+        ["verify-grid", "--mode", "1", "1", "0"],
+        ["verify-grid", "--mode", "1", "1.5", "1"],
+        ["verify-grid", "--mode", "1", "1", "1", "--resolutions",
+         "-1", "-2", "-4"],
+        ["selftest", "--seed", "-1"],
+    ])
+    def test_usage_error_on_invalid_grid_or_seed(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == EXIT_USAGE
         assert doc["schema"] == "coneh/1"

@@ -1,10 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneh import Circle, ConeHarmonic, InvalidArgument, Mode, circle_mode
 from coneh import gridcheck, harmonics
+
+from . import oracles
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +32,14 @@ class TestConeGrid:
     def test_rejects_tip(self):
         with pytest.raises(InvalidArgument):
             gridcheck.ConeGrid(TWO_PI, 0.0, 1.0, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("L, r_min, r_max", [
+        (-1.0, 0.5, 1.5), (0.0, 0.5, 1.5), (math.inf, 0.5, 1.5),
+        (math.nan, 0.5, 1.5), (TWO_PI, 0.5, math.inf),
+        (TWO_PI, math.nan, 1.5), (TWO_PI, 1.5, 0.5)])
+    def test_rejects_bad_circle_or_window(self, L, r_min, r_max):
+        with pytest.raises(InvalidArgument):
+            gridcheck.ConeGrid(L, r_min, r_max, np.zeros((4, 4)))
 
     def test_sample_matches_pointwise_evaluation(self):
         u = harmonic_pair()
@@ -69,6 +83,57 @@ class TestLaplacianResidual:
         assert res_max < 1e-2
 
 
+# row-block sizes: one row per block, partial last blocks, a single block
+BLOCKS = [lambda m_r, m_t: 7, lambda m_r, m_t: 64,
+          lambda m_r, m_t: m_t - 1, lambda m_r, m_t: m_r * m_t]
+
+
+class TestRowBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 300), st.integers(3, 300), st.integers(0, 2 ** 32),
+           st.floats(0.1, 20.0), st.floats(1e-3, 2.0), st.floats(1e-3, 5.0))
+    def test_residual_matches_full_grid_oracle(self, m_r, m_t, seed, L,
+                                               r_min, width):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((m_r, m_t)) * 10.0 ** rng.uniform(-3, 3)
+        grid = gridcheck.ConeGrid(L, r_min, r_min + width, values)
+        want_max, want_rms = oracles.laplacian_residual(grid)
+        for block in BLOCKS:
+            with mock.patch.object(gridcheck, "_BLOCK", block(m_r, m_t)):
+                got_max, got_rms = gridcheck.laplacian_residual(grid)
+            assert got_max.hex() == want_max.hex()
+            assert got_rms == pytest.approx(want_rms, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 300), st.integers(3, 300), st.integers(0, 2 ** 32),
+           st.integers(0, 5))
+    def test_sample_matches_generator_sum(self, m_r, m_t, seed, nmodes):
+        rng = np.random.default_rng(seed)
+        u = ConeHarmonic(2, tuple(
+            Mode(float(rng.uniform(0.05, 20.0)),
+                 float(rng.uniform(-5.0, 5.0)) * (i != 1),
+                 int(rng.integers(0, 9))) for i in range(nmodes)),
+            float(rng.uniform(-1.0, 1.0)))
+        L, r_min = float(rng.uniform(0.1, 20.0)), float(rng.uniform(1e-3, 1.0))
+        args = (u, L, r_min, r_min + float(rng.uniform(1e-3, 3.0)), m_r, m_t)
+        want = oracles.sample_harmonic(*args).values
+        for block in BLOCKS:
+            with mock.patch.object(gridcheck, "_BLOCK", block(m_r, m_t)):
+                got = gridcheck.sample_harmonic(*args).values
+            assert got.tobytes() == want.tobytes()
+
+    def test_residual_memory_is_one_row_block(self):
+        u = ConeHarmonic(2, (circle_mode(TWO_PI, 1, "cos", 1.0),))
+        grid = gridcheck.sample_harmonic(u, TWO_PI, 0.5, 1.5, 1024, 1024)
+        tracemalloc.start()
+        try:
+            gridcheck.laplacian_residual(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # the grid itself is 8 MiB
+
+
 class TestConvergenceOrder:
     def test_second_order_for_harmonic_mode(self):
         order, residuals = gridcheck.convergence_order(
@@ -85,6 +150,19 @@ class TestConvergenceOrder:
         with pytest.raises(InvalidArgument):
             gridcheck.convergence_order((1.0, 1, 1.0), TWO_PI,
                                         (0.5, 1.5), [32, 64])
+
+    @pytest.mark.parametrize("mode, L, window, resolutions, match", [
+        ((1.0, 1, 1.0), -1.0, (0.5, 1.5), [32, 64, 128], "length"),
+        ((1.0, 1, 1.0), math.inf, (0.5, 1.5), [32, 64, 128], "length"),
+        ((1.0, 1, 1.0), TWO_PI, (0.5, math.inf), [32, 64, 128], "r_max"),
+        ((1.0, 1, 0.0), TWO_PI, (0.5, 1.5), [32, 64, 128], "nonzero"),
+        ((1.0, 1.5, 1.0), TWO_PI, (0.5, 1.5), [32, 64, 128], "integer"),
+        ((1.0, 0, 1.0), TWO_PI, (0.5, 1.5), [32, 64, 128], "integer"),
+        ((1.0, 1, 1.0), TWO_PI, (0.5, 1.5), [-1, -2, -4], "at least 3"),
+    ])
+    def test_rejects_invalid_input(self, mode, L, window, resolutions, match):
+        with pytest.raises(InvalidArgument, match=match):
+            gridcheck.convergence_order(mode, L, window, resolutions)
 
 
 class TestGridJ:

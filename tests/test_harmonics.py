@@ -153,6 +153,18 @@ class TestClosedForms:
         v = ConeHarmonic(2, (Mode(1.0, 1.0, 1), Mode(4.0, 1e-170, 3)))
         assert harmonics.U(v, 1e-200) == pytest.approx(1.0, abs=1e-12)
 
+    def test_log_weights_match_a_table_built_per_call(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            u = random_sum(rng, max_modes=40, alpha_max=30.0)
+            u = u.scaled(float(rng.uniform(0.5, 2.0)))
+            s = 10.0 ** rng.uniform(-2.0, 2.0, int(rng.integers(1, 20)))
+            alpha, c = np.array([m[:2] for m in u.active_modes]).T
+            want = 2.0 * (np.log(np.abs(c)) + alpha * np.log(s)[..., None])
+            got_alpha, got = harmonics._log_weights(u, s)
+            assert got_alpha.tobytes() == alpha.tobytes()
+            assert got.tobytes() == want.tobytes()
+
     def test_functionals_past_the_float_range(self):
         u = ConeHarmonic(2, (Mode(200.0, 1.0, 1), Mode(1.0, 1.0, 2)))
         assert harmonics.I(u, 10.0) == harmonics.D(u, 10.0) == math.inf
@@ -234,6 +246,25 @@ class TestThreeCircles:
         u = ConeHarmonic(2, (Mode(1.0, 1.0, 1),))
         with pytest.raises(InvalidArgument, match="finite"):
             three_circles_ratio(u, s, k)
+
+    def test_order_past_the_float_range(self):
+        # 2^(2 cap) overflows past cap 512: the bound is reported as inf and
+        # a single mode at the cap still saturates, in log space
+        u = ConeHarmonic(2, (Mode(1.0, 1.0, 1),))
+        assert three_circles_ratio(u, 1.0, 600.0) == (4.0, math.inf, True)
+        top = ConeHarmonic(2, (Mode(600.0, 1.0, 1),))
+        assert three_circles_ratio(top, 1.0, 600.0) == (math.inf, math.inf,
+                                                          True)
+
+    @pytest.mark.parametrize("k", [3.0, 600.0])
+    def test_slack_is_the_same_in_both_ranges(self, k):
+        # inside the cap's 1e-12 slack but 2 * cap * 5e-13 * log 2 above
+        # the bound's own 1e-12 tolerance: refused with or without overflow
+        u = ConeHarmonic(2, (Mode(k * (1.0 + 5e-13), 1.0, 1),))
+        assert not three_circles_ratio(u, 1.0, k).satisfied
+        # one ulp above the cap is within the tolerance
+        u = ConeHarmonic(2, (Mode(math.nextafter(k, math.inf), 1.0, 1),))
+        assert three_circles_ratio(u, 1.0, k).satisfied
 
     def test_cap_equals_k_in_all_dimensions(self):
         # the admissible exponent at eigenvalue k(k+n-2) is k itself
