@@ -5,8 +5,8 @@ from .errors import (ConehError, DegenerateInput, InvalidArgument,
                      ResolutionInsufficient, UnsupportedCrossSection)
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import (Circle, CrossSection, ExplicitSpectrum,
-                      MetricCircleNumeric, ResonantSet, RoundSphere,
-                      Spectrum, load_spectrum, spectrum_from_json)
+                      MetricCircleNumeric, RoundSphere, load_spectrum,
+                      spectrum_from_json)
 from .eigensolver import (DiscreteOperator, MetricCircle, assemble,
                           certified_spectrum, eigenvalues, load_density)
 from .growth import (CollapsedReport, EmpiricalRatio, GrowthReport,

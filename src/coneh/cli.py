@@ -91,8 +91,7 @@ def cmd_spectrum(args) -> int:
     spec = X.spectrum_upto(args.lam_max)
     bars = X.error_bars(spec) if isinstance(X, MetricCircleNumeric) else None
     doc = _report(_cs_config(args) | {"lambda_max": args.lam_max},
-                  {"spectrum": spec.to_json(measure=X.measure(),
-                                            error_bars=bars)})
+                  {"spectrum": spec.to_json(error_bars=bars)})
     rows = [[lam, mult] for lam, mult in spec.entries]
     _emit(args, doc, (["lambda", "mult"], rows))
     return EXIT_OK

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .spectra import MetricCircleNumeric, Spectrum
+from .spectra import (ExplicitSpectrum, MetricCircleNumeric, _finite_number,
+                      _read_json)
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,10 @@ class MetricCircle:
     def __post_init__(self):
         if len(self.density) < 4:
             raise InvalidArgument("need at least 4 density samples")
+        bad = [i for i, a in enumerate(self.density) if not math.isfinite(a)]
+        if bad:
+            raise InvalidArgument(f"density sample {bad[0]} must be finite, "
+                                  f"got {self.density[bad[0]]}")
         if min(self.density) <= 0:
             raise InvalidArgument("density must be strictly positive")
         if self.total_length > 2.0 * math.pi * (1.0 + 1e-12):
@@ -127,8 +132,9 @@ def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
 
 
 def certified_spectrum(circle: MetricCircle, lambda_max: float
-                       ) -> tuple[Spectrum, list[float]]:
-    """All eigenvalues <= lambda_max with error bars, one bar per entry.
+                       ) -> tuple[ExplicitSpectrum, list[float]]:
+    """All eigenvalues <= lambda_max as a level table, with one error bar
+    per level.
 
     The closed form of the round circle of length ``circle.total_length``;
     each bar bounds the float rounding of its eigenvalue (0 for the kernel).
@@ -141,21 +147,37 @@ def certified_spectrum(circle: MetricCircle, lambda_max: float
 # -- density file interchange ----------------------------------------------
 
 def load_density(path: str) -> MetricCircle:
-    """Read a density from JSON (plain array) or CSV (theta_index, a_value)."""
+    """Read a density from JSON (plain array) or CSV (theta_index, a_value).
+
+    A sample that is not a finite number, or a CSV row whose index or value
+    is not a number, is InvalidArgument naming the file and the entry."""
     if path.endswith(".json"):
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if not isinstance(data, list):
             raise InvalidArgument(f"{path}: expected a JSON array of samples")
+        bad = [i for i, v in enumerate(data) if not _finite_number(v)]
+        if bad:
+            raise InvalidArgument(
+                f"{path}: sample {bad[0]} must be a finite number, "
+                f"got {json.dumps(data[bad[0]])}")
         return MetricCircle(tuple(float(v) for v in data))
     samples: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) != 2:
                 raise InvalidArgument(
                     f"{path}: expected rows of (theta_index, a_value)")
-            samples.append((int(row[0]), float(row[1])))
+            try:
+                index, value = int(row[0]), float(row[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise InvalidArgument(
+                    f"{path}: row {rows.line_num}: expected an integer index "
+                    f"and a finite value, got {','.join(row)!r}")
+            samples.append((index, value))
     samples.sort()
     return MetricCircle(tuple(v for _, v in samples))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NumericFailure
 from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
 from .spectra import Circle
 
@@ -189,6 +189,10 @@ def convergence_order(mode: tuple[float, float, float], L: float,
         grid = sample_harmonic(u, L, r_min, r_max, m, m)
         res_max, _ = laplacian_residual(grid)
         residuals.append(res_max)
+    if not all(map(math.isfinite, residuals)):
+        raise NumericFailure(
+            f"residual max norms {residuals} are not finite: the mode "
+            "leaves the float range on the grid")
     if any(b >= a for a, b in zip(residuals, residuals[1:])):
         warnings.warn(
             f"non-monotone residuals {residuals}; order fit may be unreliable")

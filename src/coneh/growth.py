@@ -159,18 +159,18 @@ def hk_staircase(X: CrossSection, n: int, k_max: float,
     """
     _check_dim(X, n)
     _check_order(k_max, "k_max")
-    rset = X.resonant_set_upto(k_max)
+    betas, lams = X.resonant_set_upto(k_max)
+    # count at the stored eigenvalues: beta*beta may round below them
+    counts = X.count_array(lams).tolist()
     steps: list[StaircaseStep] = []
     prev_h = 1
     lo = 0.0
     prev_jump = 0
-    for beta, lam in zip(rset.exponents, rset.eigenvalues):
+    for beta, h in zip(betas.tolist(), counts):
         if beta <= 0:
             continue
         if beta > lo:
             steps.append(StaircaseStep(lo, beta, prev_h, prev_jump))
-        # count at the stored eigenvalue: beta*beta may round below it
-        h = X.counting(lam)
         prev_jump = h - prev_h
         prev_h = h
         lo = beta

@@ -145,7 +145,8 @@ def _log_weights(u: ConeHarmonic, s) -> tuple[np.ndarray, np.ndarray]:
     2 alpha_i log s, one row per radius in s.  Every functional is a
     log-sum-exp or a softmax of these rows, so none overflows early."""
     s = np.asarray(s, dtype=float)
-    if not 0.0 < s.min() <= s.max() < math.inf:
+    lo, hi = s.min(), s.max()
+    if not 0.0 < lo <= hi < math.inf:
         raise InvalidArgument(f"s must be positive and finite, got {s}")
     if u.constant_term != 0.0:
         raise InvalidArgument(
@@ -153,7 +154,15 @@ def _log_weights(u: ConeHarmonic, s) -> tuple[np.ndarray, np.ndarray]:
             "call drop_constant() first")
     if not u._alpha.size:
         raise DegenerateInput("all mode coefficients vanish")
-    return u._alpha, 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
+    logw = 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
+    # weights leave the float range only once alpha |log s| nears it; a
+    # weight of -inf below a finite top weight is an exact zero term
+    if u._alpha[-1] * max(-math.log(lo), math.log(hi)) > 1e300:
+        bad = ~np.isfinite(logw.max(axis=-1))
+        if bad.any():
+            raise NumericFailure("the largest log weight leaves the float "
+                                 f"range at s = {s[bad][0]}")
+    return u._alpha, logw
 
 
 def _log_sum(logw: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ variant supplies three vectorised primitives: ``level_eigenvalue(i)``,
 and ``Circle(L)`` (and ``MetricCircleNumeric``, a variable-density circle
 counted as the round circle of its length) and ``np.searchsorted`` for
 ``ExplicitSpectrum``, a user-supplied truncated spectrum.  ``CrossSection``
-writes counting, spectrum truncation, the resonant set and the resonance
-lookup once on top of them.
+writes counting, the resonant set and the resonance lookup once on top of
+them, and truncates any spectrum to an ``ExplicitSpectrum``.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -50,52 +50,11 @@ _ROUNDING_RTOL = 8.0 * sys.float_info.epsilon
 LEVEL_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """A truncated Laplace spectrum as grouped (eigenvalue, multiplicity) pairs.
-
-    ``truncation_bound`` certifies that every eigenvalue <= that bound is
-    present.  The first entry must be (0, 1): the constant eigenfunction of
-    a connected cross-section.
-    """
-
-    ambient_dim: int
-    entries: tuple[tuple[float, int], ...]
-    truncation_bound: float
-
-    def __post_init__(self):
-        _check_levels(self.ambient_dim, *_entry_arrays(self.entries),
-                     self.truncation_bound)
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.entries)
-
-    def to_json(self, measure: float | None = None,
-                error_bars: list[float] | None = None) -> dict:
-        doc = {
-            "ambient_dim": self.ambient_dim,
-            "entries": [{"lambda": lam, "mult": m} for lam, m in self.entries],
-            "truncation_bound": self.truncation_bound,
-        }
-        if measure is not None:
-            doc["measure"] = measure
-        if error_bars is not None:
-            doc["error_bars"] = list(error_bars)
-        return doc
-
-
 def _exact_array(values) -> np.ndarray:
     """`values` as an array holding each one exactly: a machine-integer
     array when they fit one, Python objects else."""
     arr = np.array(values)
     return arr if arr.dtype.kind in "biu" else np.array(values, dtype=object)
-
-
-def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue and multiplicity columns of grouped entries."""
-    eigs, mults = zip(*entries) if entries else ((), ())
-    return np.array(eigs, dtype=float), _exact_array(mults)
 
 
 def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
@@ -137,20 +96,6 @@ def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
         raise InvalidArgument(f"entry {i}: " + text.format(
             lam=float(eigs[i]), prev=float(prev[i]),
             mult=mults[i:i + 1].tolist()[0], bound=truncation_bound))
-
-
-@dataclass(frozen=True)
-class ResonantSet:
-    """Exponents beta >= 0 with beta*(beta + n - 2) in the spectrum.
-
-    Constructed by inverting each stored eigenvalue through the exponent
-    map, so every member maps back onto its eigenvalue exactly.
-    """
-
-    ambient_dim: int
-    exponents: tuple[float, ...]
-    eigenvalues: tuple[float, ...]  # parallel to exponents
-    beta_max: float
 
 
 class CrossSection:
@@ -237,15 +182,22 @@ class CrossSection:
         """Eigenvalues strictly below lam, counted with multiplicity."""
         return int(self.count_left_array([lam])[0])
 
-    def spectrum_upto(self, lambda_max: float) -> Spectrum:
-        """All eigenvalues <= lambda_max as a grouped Spectrum."""
+    def spectrum_upto(self, lambda_max: float) -> ExplicitSpectrum:
+        """All eigenvalues <= lambda_max, as the level table of the
+        truncated spectrum, which counts as this one does on [0, lambda_max].
+
+        An eigenvalue within rounding above lambda_max counts as equal to it
+        (see `count_array`), so it is kept and certifies the table up to
+        itself."""
         if lambda_max <= 0:
             raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
         self._check_certified(lambda_max)
-        levels = np.arange(self.level_lookup(np.array([lambda_max]))[0] + 1)
-        mults = np.diff(self.level_count(levels), prepend=0)
-        entries = zip(self.level_eigenvalue(levels).tolist(), mults.tolist())
-        return Spectrum(self.ambient_dim, tuple(entries), lambda_max)
+        top = self.level_lookup(np.array([lambda_max * (1.0 + _EQUAL_RTOL)]))
+        levels = np.arange(top[0] + 1)
+        eigs = self.level_eigenvalue(levels)
+        return ExplicitSpectrum(
+            self.ambient_dim, eigs, np.diff(self.level_count(levels), prepend=0),
+            max(lambda_max, float(eigs[-1])), self.measure())
 
     def resonance_blocks(self, beta_max: float):
         """Yield (exponents, eigenvalues) arrays of the resonances in
@@ -263,11 +215,13 @@ class CrossSection:
             keep = betas <= beta_max
             yield betas[keep], lams[keep]
 
-    def resonant_set_upto(self, beta_max: float) -> ResonantSet:
-        """All beta in [0, beta_max] with beta*(beta+n-2) in the spectrum."""
-        exps, lams = (tuple(np.concatenate(part).tolist())
-                      for part in zip(*self.resonance_blocks(beta_max)))
-        return ResonantSet(self.ambient_dim, exps, lams, beta_max)
+    def resonant_set_upto(self, beta_max: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """(exponents, eigenvalues): every beta in [0, beta_max] with
+        beta*(beta+n-2) in the spectrum, beside the stored eigenvalue it
+        came from, in level order."""
+        exps, lams = zip(*self.resonance_blocks(beta_max))
+        return np.concatenate(exps), np.concatenate(lams)
 
     def is_resonant(self, k: float, tol: float = RESONANCE_TOL
                     ) -> tuple[bool, float, float]:
@@ -393,26 +347,21 @@ def _cumulative(mults: np.ndarray) -> np.ndarray:
 class ExplicitSpectrum(CrossSection):
     """A cross-section known only through a truncated spectrum and a measure.
 
-    No curvature condition is (or can be) validated from a spectrum alone;
-    admissibility as a cone cross-section is the caller's responsibility.
+    The spectrum is given as an eigenvalue and a multiplicity column,
+    validated once by `_check_levels`: the first level must be (0, 1), the
+    constant eigenfunction of a connected cross-section, and
+    ``truncation_bound`` certifies that every eigenvalue <= that bound is
+    present.  ``CrossSection.spectrum_upto`` returns its truncations as
+    this type.  No curvature condition is (or can be) validated from a
+    spectrum alone; admissibility as a cone cross-section is the caller's
+    responsibility.
     """
 
-    def __init__(self, spectrum: Spectrum, measure: float):
-        self._set_levels(spectrum.ambient_dim, *_entry_arrays(spectrum.entries),
-                         spectrum.truncation_bound, measure)
-        self._spectrum = spectrum
-
-    @classmethod
-    def from_arrays(cls, ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
-                    truncation_bound: float, measure: float) -> ExplicitSpectrum:
-        """Build from eigenvalue and multiplicity columns, validated by
-        `_check_levels`; the grouped `spectrum` is built on first use."""
+    def __init__(self, ambient_dim: int, eigs, mults, truncation_bound: float,
+                 measure: float):
+        eigs = np.asarray(eigs, dtype=float)
+        mults = _exact_array(mults)
         _check_levels(ambient_dim, eigs, mults, truncation_bound)
-        X = cls.__new__(cls)
-        X._set_levels(ambient_dim, eigs, mults, truncation_bound, measure)
-        return X
-
-    def _set_levels(self, ambient_dim, eigs, mults, truncation_bound, measure):
         if not (math.isfinite(measure) and measure > 0):
             raise InvalidArgument(
                 f"measure must be positive and finite, got {measure}")
@@ -422,20 +371,27 @@ class ExplicitSpectrum(CrossSection):
         # the level past the table reads as inf: nothing there is certified
         self._eigs = np.append(eigs, math.inf)
         self._cum = _cumulative(mults)
-        self._spectrum = None
 
     @property
     def ambient_dim(self) -> int:
         return self._ambient_dim
 
     @property
-    def spectrum(self) -> Spectrum:
-        """The level table as grouped entries, built on first use."""
-        if self._spectrum is None:
-            entries = zip(self._eigs[:-1].tolist(), np.diff(self._cum).tolist())
-            self._spectrum = Spectrum(self._ambient_dim, tuple(entries),
-                                      self._bound)
-        return self._spectrum
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        """(eigenvalue, multiplicity) per level, as Python floats and ints."""
+        return tuple(zip(self._eigs[:-1].tolist(), np.diff(self._cum).tolist()))
+
+    def to_json(self, error_bars: list[float] | None = None) -> dict:
+        """The documented spectrum JSON layout (see `spectrum_from_json`)."""
+        doc = {
+            "ambient_dim": self._ambient_dim,
+            "entries": [{"lambda": lam, "mult": m} for lam, m in self.entries],
+            "measure": self._measure,
+            "truncation_bound": self._bound,
+        }
+        if error_bars is not None:
+            doc["error_bars"] = list(error_bars)
+        return doc
 
     def certified_bound(self) -> float:
         return self._bound
@@ -468,8 +424,8 @@ class MetricCircleNumeric(Circle):
         object.__setattr__(self, "length", circle.total_length)
         object.__setattr__(self, "metric_circle", circle)
 
-    def error_bars(self, spectrum: Spectrum) -> list[float]:
-        """One bar per entry of `spectrum`: the float rounding of lambda."""
+    def error_bars(self, spectrum: ExplicitSpectrum) -> list[float]:
+        """One bar per level of `spectrum`: the float rounding of lambda."""
         return [_ROUNDING_RTOL * lam for lam, _ in spectrum.entries]
 
 
@@ -527,7 +483,7 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
                 isinstance(ent, dict) and "lambda" in ent and "mult" in ent))
             raise InvalidArgument(
                 f"entry {i} must have 'lambda' and 'mult'") from None
-        return ExplicitSpectrum.from_arrays(
+        return ExplicitSpectrum(
             int(dim), _numbers("lambda", lams, lambda v: np.array(v, dtype=float)),
             _numbers("mult", mults, _exact_array),
             float(doc["truncation_bound"]), float(doc["measure"]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from coneh import (Circle, ConeHarmonic, ExplicitSpectrum, Mode, RoundSphere,
-                   Spectrum, cesaro_limit, circle_mode, collapsed_bounds,
+                   cesaro_limit, circle_mode, collapsed_bounds,
                    empirical_ratio_convergence, euclidean_hk, gridcheck,
                    harmonics, hk_bounds, weyl_ratio)
 from coneh.eigensolver import MetricCircle, assemble, eigenvalues
@@ -92,9 +92,8 @@ def test_05_liouville_regime():
             rep = hk_bounds(X, 2, k)
             assert rep.lower == rep.upper == 1
         lam1 = float(rng.uniform(2.0, 30.0))
-        Y = ExplicitSpectrum(
-            Spectrum(3, ((0.0, 1), (lam1, 3), (lam1 + 2.0, 4)),
-                     lam1 + 5.0), 7.0)
+        Y = ExplicitSpectrum(3, [0.0, lam1, lam1 + 2.0], [1, 3, 4],
+                             lam1 + 5.0, 7.0)
         kmax = (-1.0 + math.sqrt(1.0 + lam1)) - 1e-9  # k(k+1) < lambda_1
         for _ in range(20):
             k = float(rng.uniform(1e-3, kmax))

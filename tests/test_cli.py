@@ -320,6 +320,52 @@ class TestExitCodes:
         assert doc["error"]["type"] == "InvalidArgument"
         assert str(path) in doc["error"]["message"]
 
+    @pytest.mark.parametrize("name, text, where", [
+        ("string.json", '[0.5, 0.5, "x", 0.5]', "sample 2"),
+        ("nan.json", "[0.5, 0.5, NaN, 0.5]", "sample 2"),
+        ("huge.json", "[0.5, 1e400, 0.5, 0.5]", "sample 1"),
+        ("bool.json", "[0.5, 0.5, 0.5, true]", "sample 3"),
+        ("syntax.json", "[0.5, 0.5,", ":1:11:"),
+        ("value.csv", "0,0.5\n1,abc\n2,0.5\n3,0.5\n", "row 2"),
+        ("index.csv", "0,0.5\nx,0.5\n2,0.5\n3,0.5\n", "row 2"),
+        ("float-index.csv", "0,0.5\n1.5,0.5\n", "row 2"),
+        ("nan.csv", "0,0.5\n1,0.5\n2,nan\n", "row 3"),
+        ("inf.csv", "# theta_index, a_value\n0,0.5\n1,inf\n", "row 3"),
+    ])
+    def test_usage_error_on_malformed_density_file(self, capsys, tmp_path,
+                                                   name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, doc = run_json(capsys, "count", "--cross-section",
+                             f"metric-circle:{path}", "--lambda", "1.0")
+        assert code == EXIT_USAGE
+        assert doc["schema"] == "coneh/1"
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+        assert str(path) in doc["error"]["message"]
+        assert where in doc["error"]["message"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["verify-grid", "--mode", "1e308", "1", "1"],
+        ["frequency", "--harmonic", "HUGE", "--s", "1", "10"],
+    ])
+    def test_numeric_failure_past_the_float_range(self, capsys, tmp_path,
+                                                  argv):
+        # alpha = 1e308 overflows r^alpha on the grid and alpha * log s in
+        # the log weights; the report must not print NaN
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "modes": [
+            {"alpha": 1e308, "c": 1.0, "mode_id": 1},
+            {"alpha": 1.0, "c": 1.0, "mode_id": 2}]}))
+        code, out = run(capsys, *[str(path) if a == "HUGE" else a
+                                  for a in argv])
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert code == EXIT_VERIFICATION
+        assert doc["schema"] == "coneh/1"
+        assert doc["error"]["type"] == "NumericFailure"
+        assert doc["error"]["exit_code"] == EXIT_VERIFICATION
+
     def test_count_reports_first_bad_lambda(self, capsys):
         # the whole list is looked up at once; the error is still the one
         # of its first bad entry

@@ -29,6 +29,11 @@ class TestMetricCircle:
         with pytest.raises(InvalidArgument):
             MetricCircle((1.0, 1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_density(self, bad):
+        with pytest.raises(InvalidArgument, match="sample 2 must be finite"):
+            MetricCircle((1.0, 1.0, bad, 1.0))
+
     def test_rejects_too_few_samples(self):
         with pytest.raises(InvalidArgument):
             MetricCircle((1.0, 1.0))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneh import Circle, ConeHarmonic, InvalidArgument, Mode, circle_mode
+from coneh import (Circle, ConeHarmonic, InvalidArgument, Mode,
+                   NumericFailure, circle_mode)
 from coneh import gridcheck, harmonics
 
 from . import oracles
@@ -163,6 +164,13 @@ class TestConvergenceOrder:
     def test_rejects_invalid_input(self, mode, L, window, resolutions, match):
         with pytest.raises(InvalidArgument, match=match):
             gridcheck.convergence_order(mode, L, window, resolutions)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_residuals_are_a_numeric_failure(self):
+        # r^1e308 overflows on the window: every residual is NaN
+        with pytest.raises(NumericFailure, match="not finite"):
+            gridcheck.convergence_order((1e308, 1, 1.0), TWO_PI, (0.5, 1.5),
+                                        [32, 64, 128])
 
 
 class TestGridJ:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneh import (Circle, ExplicitSpectrum, InvalidArgument, RoundSphere,
-                   Spectrum, asymptotic_ratio, ball_volume, cesaro_limit,
+                   asymptotic_ratio, ball_volume, cesaro_limit,
                    collapsed_bounds, empirical_ratio_convergence, euclidean_hk,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_bounds, hk_staircase, weyl_ratio)
@@ -142,9 +142,8 @@ class TestStaircase:
         rng = np.random.default_rng(12)
         mults = rng.integers(1, 4, 200)
         lams = np.cumsum(rng.uniform(0.1, 5.0, 200))
-        X = ExplicitSpectrum(Spectrum(2, ((0.0, 1), *zip(lams.tolist(),
-                                                         mults.tolist())),
-                                      float(lams[-1]) + 100.0), 5.0)
+        X = ExplicitSpectrum(2, [0.0, *lams.tolist()], [1, *mults.tolist()],
+                             float(lams[-1]) + 100.0, 5.0)
         k_max = math.sqrt(float(lams[-1])) + 0.1
         steps = hk_staircase(X, 2, k_max)
         assert [s.jump for s in steps[1:]] == mults.tolist()
@@ -242,13 +241,11 @@ class TestCollapsed:
 
 class TestExplicitSpectrumGrowth:
     def test_bounds_from_supplied_spectrum(self):
-        X = ExplicitSpectrum(
-            Spectrum(2, ((0.0, 1), (3.0, 2), (7.0, 1)), 50.0), 5.0)
+        X = ExplicitSpectrum(2, [0.0, 3.0, 7.0], [1, 2, 1], 50.0, 5.0)
         rep = hk_bounds(X, 2, 2.0)  # lambda = 4, between the stored 3 and 7
         assert rep.upper == 3 and rep.lower == 3 and rep.exact == 3
 
     def test_resonance_from_supplied_spectrum(self):
-        X = ExplicitSpectrum(
-            Spectrum(2, ((0.0, 1), (4.0, 2)), 50.0), 5.0)
+        X = ExplicitSpectrum(2, [0.0, 4.0], [1, 2], 50.0, 5.0)
         rep = hk_bounds(X, 2, 2.0)
         assert rep.resonant and rep.upper == 3 and rep.lower == 1

@@ -174,6 +174,26 @@ class TestClosedForms:
         res = three_circles_ratio(u, 10.0, 200.0)
         assert math.isfinite(res.ratio) and res.satisfied
 
+    # J's divisor 2 * alpha + n overflows for alpha = 1e308 (a -inf term)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_log_weight_past_the_float_range(self):
+        # alpha * log s passes the float maximum at s = 10: the top log
+        # weight is inf, and every functional would be NaN
+        u = ConeHarmonic(2, (Mode(1e308, 1.0, 1), Mode(1.0, 1.0, 2)))
+        for functional in (harmonics.I, harmonics.D, harmonics.U, harmonics.J):
+            with pytest.raises(NumericFailure, match="s = 10.0"):
+                functional(u, 10.0)
+            with pytest.raises(NumericFailure, match="s = 10.0"):
+                functional(u, np.array([1.0, 10.0]))
+        # at s = 0.1 that weight is -inf below a finite top: an exact zero
+        assert harmonics.U(u, 0.1) == 1.0
+        assert harmonics.I(u, 0.1) == pytest.approx(0.01, rel=1e-14)
+        assert harmonics.J(u, 0.1) == pytest.approx(0.0025, rel=1e-14)
+        # a row whose every weight is -inf has no finite top either
+        lone = ConeHarmonic(2, (Mode(1e308, 1.0, 1),))
+        with pytest.raises(NumericFailure, match="s = 0.1"):
+            harmonics.U(lone, 0.1)
+
 
 class TestFrequencyIdentity:
     def test_single_mode_exact(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
-                   ResolutionInsufficient, RoundSphere, Spectrum,
+                   ResolutionInsufficient, RoundSphere,
                    eigenvalue_from_exponent, exponent_from_eigenvalue, growth,
                    hk_staircase, spectra)
 
@@ -25,8 +25,7 @@ def random_spectrum(n, seed=12, size=200):
     rng = np.random.default_rng(seed)
     mults = rng.integers(1, 4, size - 1).tolist()
     lams = np.cumsum(rng.uniform(0.1, 5.0, size - 1)).tolist()
-    entries = ((0.0, 1), *zip(lams, mults))
-    return ExplicitSpectrum(Spectrum(n, entries, lams[-1] + 100.0), 5.0)
+    return ExplicitSpectrum(n, [0.0, *lams], [1, *mults], lams[-1] + 100.0, 5.0)
 
 
 CROSS_SECTIONS = (
@@ -81,13 +80,13 @@ def test_count_arrays_report_first_bad_entry(lams, error, message):
 def test_is_resonant_matches_nearest_search(X, tol):
     n = X.ambient_dim
     rng = np.random.default_rng(9)
-    exps = X.resonant_set_upto(25.0).exponents
+    exps = X.resonant_set_upto(25.0)[0].tolist()
     for k in [*rng.uniform(0.0, 25.0, 40), *exps,
               *(b + 1e-10 for b in exps), *(b + 0.5 for b in exps)]:
         window = k + max(tol, 1.0)
         if eigenvalue_from_exponent(window, n) > X.certified_bound():
             window = exponent_from_eigenvalue(X.certified_bound(), n)
-        candidates = X.resonant_set_upto(window).exponents
+        candidates = X.resonant_set_upto(window)[0].tolist()
         best = min(candidates, key=lambda b: abs(k - b))
         dist = abs(k - best)
         assert X.is_resonant(k, tol) == (dist <= tol, best, dist), k
@@ -96,15 +95,15 @@ def test_is_resonant_matches_nearest_search(X, tol):
 @pytest.mark.parametrize("n", [2, 3])
 def test_resonant_set_keeps_its_top_resonance(n):
     X = random_spectrum(n)
-    for lam, _ in X.spectrum.entries:
-        rset = X.resonant_set_upto(exponent_from_eigenvalue(lam, n))
-        assert rset.eigenvalues[-1] == lam
+    for lam, _ in X.entries:
+        _, eigs = X.resonant_set_upto(exponent_from_eigenvalue(lam, n))
+        assert eigs[-1] == lam
 
 
 def test_staircase_keeps_step_at_resonant_k_max():
     X = random_spectrum(2)
     # entries whose exponent maps back below the eigenvalue
-    cases = [(lam, m) for lam, m in X.spectrum.entries[1:]
+    cases = [(lam, m) for lam, m in X.entries[1:]
              if eigenvalue_from_exponent(exponent_from_eigenvalue(lam, 2), 2) < lam]
     assert cases
     for lam, mult in cases[:5]:
@@ -155,8 +154,8 @@ def test_cesaro_offset_sees_gap_across_block_boundary(monkeypatch):
     # first level of the second
     exps = [float(j) for j in range(1000)] + [999.1] + [
         float(j) for j in range(1001, 1100)]
-    X = ExplicitSpectrum(Spectrum(2, tuple(
-        (b * b, 1 if b == 0 else 2) for b in exps), 1100.0 ** 2), TWO_PI)
+    X = ExplicitSpectrum(2, [b * b for b in exps],
+                         [1 if b == 0 else 2 for b in exps], 1100.0 ** 2, TWO_PI)
     monkeypatch.setattr(spectra, "LEVEL_BLOCK", 1000)
     assert growth._cesaro_offset(X, 1050.0) == pytest.approx(0.05, rel=1e-9)
 

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
-                   ResolutionInsufficient, RoundSphere, Spectrum,
-                   eigenvalue_from_exponent, load_spectrum)
+                   MetricCircleNumeric, ResolutionInsufficient, RoundSphere,
+                   eigenvalue_from_exponent, load_spectrum, spectrum_from_json)
+from coneh.eigensolver import MetricCircle
 
 TWO_PI = 2.0 * math.pi
+
+
+def explicit(n, entries, bound, measure=1.0):
+    """ExplicitSpectrum from (eigenvalue, multiplicity) pairs."""
+    eigs, mults = zip(*entries)
+    return ExplicitSpectrum(n, eigs, mults, bound, measure)
 
 
 class TestSpectrumUpto:
@@ -81,24 +90,24 @@ class TestMeasure:
 
 class TestResonances:
     def test_full_circle_set(self):
-        rset = Circle(TWO_PI).resonant_set_upto(2.5)
-        assert rset.exponents == (0.0, 1.0, 2.0)
+        exps, _ = Circle(TWO_PI).resonant_set_upto(2.5)
+        assert exps.tolist() == [0.0, 1.0, 2.0]
 
     def test_sphere_set(self):
-        rset = RoundSphere(2).resonant_set_upto(2.2)
-        assert rset.exponents == (0.0, 1.0, 2.0)
+        exps, _ = RoundSphere(2).resonant_set_upto(2.2)
+        assert exps.tolist() == [0.0, 1.0, 2.0]
 
     def test_half_circle_set(self):
-        assert Circle(math.pi).resonant_set_upto(1.9).exponents == (0.0,)
+        assert Circle(math.pi).resonant_set_upto(1.9)[0].tolist() == [0.0]
 
     def test_members_map_back(self):
         X = RoundSphere(3)
-        rset = X.resonant_set_upto(6.0)
+        exps, _ = X.resonant_set_upto(6.0)
         spec = X.spectrum_upto(eigenvalue_from_exponent(6.0, X.ambient_dim))
-        eigs = set(spec.eigenvalues)
-        for beta in rset.exponents:
+        eigs = {lam for lam, _ in spec.entries}
+        for beta in exps.tolist():
             assert eigenvalue_from_exponent(beta, X.ambient_dim) in eigs
-        assert len(rset.exponents) == len(spec.entries)
+        assert len(exps) == len(spec.entries)
 
     def test_is_resonant(self):
         X = Circle(TWO_PI)
@@ -115,25 +124,24 @@ class TestResonances:
 class TestSpectrumType:
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidArgument, match="strictly increasing"):
-            Spectrum(2, ((0.0, 1), (4.0, 2), (1.0, 2)), 10.0)
+            explicit(2, ((0.0, 1), (4.0, 2), (1.0, 2)), 10.0)
 
     def test_rejects_missing_zero(self):
         with pytest.raises(InvalidArgument, match="must be 0"):
-            Spectrum(2, ((1.0, 1),), 10.0)
+            explicit(2, ((1.0, 1),), 10.0)
 
     def test_rejects_nonsimple_zero(self):
         with pytest.raises(InvalidArgument, match="simple"):
-            Spectrum(2, ((0.0, 2), (1.0, 2)), 10.0)
+            explicit(2, ((0.0, 2), (1.0, 2)), 10.0)
 
     def test_rejects_entry_beyond_bound(self):
         with pytest.raises(InvalidArgument, match="truncation"):
-            Spectrum(2, ((0.0, 1), (11.0, 2)), 10.0)
+            explicit(2, ((0.0, 1), (11.0, 2)), 10.0)
 
 
 class TestExplicitSpectrum:
     def test_counting_and_bound(self):
-        X = ExplicitSpectrum(
-            Spectrum(3, ((0.0, 1), (2.0, 3), (6.0, 5)), 10.0), 4.0 * math.pi)
+        X = ExplicitSpectrum(3, [0.0, 2.0, 6.0], [1, 3, 5], 10.0, 4.0 * math.pi)
         assert X.counting(6.0) == 9
         assert X.counting_left(6.0) == 4
         assert X.measure() == 4.0 * math.pi
@@ -143,7 +151,7 @@ class TestExplicitSpectrum:
 
     def test_rejects_nonpositive_measure(self):
         with pytest.raises(InvalidArgument):
-            ExplicitSpectrum(Spectrum(2, ((0.0, 1),), 1.0), 0.0)
+            ExplicitSpectrum(2, [0.0], [1], 1.0, 0.0)
 
 
 class TestJsonInterchange:
@@ -156,7 +164,7 @@ class TestJsonInterchange:
         path.write_text(json.dumps(self.DOC))
         X = load_spectrum(str(path))
         assert X.counting(5.0) == 3
-        assert X.spectrum.to_json(measure=X.measure()) == self.DOC
+        assert X.to_json() == self.DOC
 
     def test_rejects_bad_entry_with_index(self, tmp_path):
         doc = dict(self.DOC)
@@ -200,7 +208,7 @@ def random_entries(seed, size):
 
 class TestArrayLoader:
     """load_spectrum reads the columns as arrays; it must build the same
-    level table as ExplicitSpectrum(Spectrum(...)) from the same entries."""
+    level table as the ExplicitSpectrum constructor from the same entries."""
 
     @pytest.mark.parametrize("entries", [
         *[random_entries(seed, size)
@@ -215,7 +223,7 @@ class TestArrayLoader:
     def test_matches_spectrum_constructor(self, tmp_path, entries):
         loaded = load_spectrum(write_entries(tmp_path / "s.json", entries))
         bound = entries[-1][0] + 10.0
-        built = ExplicitSpectrum(Spectrum(3, tuple(entries), bound), 5.0)
+        built = explicit(3, entries, bound, 5.0)
         for attr in ("_eigs", "_cum"):
             a, b = getattr(loaded, attr), getattr(built, attr)
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
@@ -230,23 +238,24 @@ class TestArrayLoader:
                     == getattr(built, count)(lams).tolist())
         assert (loaded.ambient_dim, loaded.certified_bound(), loaded.measure()) \
             == (3, bound, 5.0)
-        assert loaded.spectrum == built.spectrum
-        assert loaded.spectrum.to_json(measure=5.0) == \
-            built.spectrum.to_json(measure=5.0)
-        assert loaded.spectrum_upto(bound) == built.spectrum_upto(bound)
+        assert loaded.entries == built.entries
+        assert loaded.to_json() == built.to_json()
+        assert loaded.spectrum_upto(bound).to_json() == \
+            built.spectrum_upto(bound).to_json()
 
     def test_integral_float_multiplicity_reads_as_int(self, tmp_path):
         X = load_spectrum(write_entries(tmp_path / "s.json",
                                         [(0.0, 1.0), (2.0, 3.0)]))
-        assert X.spectrum.entries == ((0.0, 1), (2.0, 3))
-        assert type(X.spectrum.entries[1][1]) is int
+        assert X.entries == ((0.0, 1), (2.0, 3))
+        assert type(X.entries[1][1]) is int
 
     def test_grouped_spectrum_is_built_lazily(self, tmp_path):
+        # only the level arrays are kept; grouped entries are built per call
+        state = {"_ambient_dim", "_bound", "_measure", "_eigs", "_cum"}
         X = load_spectrum(write_entries(tmp_path / "s.json", random_entries(5, 20)))
-        assert X._spectrum is None
-        X.counting(30.0), X.ambient_dim, X.certified_bound()
-        assert X._spectrum is None
-        assert X.spectrum is X.spectrum
+        assert vars(X).keys() == state
+        X.counting(30.0), X.ambient_dim, X.certified_bound(), X.entries
+        assert vars(X).keys() == state
 
 
 #: One broken rule per case: (entries, bound, message); each names entry 2.
@@ -272,7 +281,7 @@ class TestValidationRules:
     @pytest.mark.parametrize("entries, bound, message", BROKEN_ENTRIES)
     def test_spectrum_names_entry(self, entries, bound, message):
         with pytest.raises(InvalidArgument, match=f"entry 2: .*{message}"):
-            Spectrum(2, tuple(entries), bound)
+            explicit(2, entries, bound)
 
     @pytest.mark.parametrize("entries, bound, message", BROKEN_ENTRIES)
     def test_file_names_entry_and_path(self, tmp_path, entries, bound, message):
@@ -332,12 +341,12 @@ class TestValidationRules:
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_spectrum_rejects_non_finite_bound(self, bound):
         with pytest.raises(InvalidArgument, match="truncation bound"):
-            Spectrum(2, ((0.0, 1),), bound)
+            explicit(2, ((0.0, 1),), bound)
 
     @pytest.mark.parametrize("measure", [math.nan, math.inf, -1.0])
     def test_explicit_spectrum_rejects_bad_measure(self, measure):
         with pytest.raises(InvalidArgument, match="measure"):
-            ExplicitSpectrum(Spectrum(2, ((0.0, 1),), 1.0), measure)
+            ExplicitSpectrum(2, [0.0], [1], 1.0, measure)
 
 
 class TestCircleBounds:
@@ -348,3 +357,47 @@ class TestCircleBounds:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(InvalidArgument):
             Circle(0.0)
+
+
+def random_explicit(levels):
+    """An ExplicitSpectrum from (gap, multiplicity) pairs above lambda_0 = 0."""
+    lams = np.cumsum([gap for gap, _ in levels]).tolist()
+    return ExplicitSpectrum(3, [0.0, *lams], [1, *(m for _, m in levels)],
+                            lams[-1] + 1.0, 2.5)
+
+
+CROSS_SECTIONS = st.one_of(
+    st.integers(1, 6).map(RoundSphere),
+    st.floats(0.1, TWO_PI).map(Circle),
+    # samples of at most 1 keep the length within 2*pi
+    st.lists(st.floats(0.05, 1.0), min_size=4, max_size=64).map(
+        lambda a: MetricCircleNumeric(MetricCircle(tuple(a)))),
+    st.lists(st.tuples(st.floats(1e-3, 50.0), st.integers(1, 10 ** 6)),
+             min_size=1, max_size=60).map(random_explicit),
+)
+
+
+class TestTruncationRoundTrip:
+    """A truncation is itself a cross-section: written as JSON and read
+    back, it counts as the spectrum it came from on [0, lambda_max]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=CROSS_SECTIONS, frac=st.floats(1e-3, 1.0),
+           probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_counts_survive_json(self, X, frac, probes):
+        lam_max = frac * min(X.certified_bound(), 1e4)
+        doc = json.loads(json.dumps(X.spectrum_upto(lam_max).to_json()))
+        Y = spectrum_from_json(doc)
+        lams = [p * lam_max for p in probes] + [
+            lam for lam, _ in Y.entries if lam <= lam_max]
+        for count in ("count_array", "count_left_array"):
+            assert (getattr(Y, count)(lams).tolist()
+                    == getattr(X, count)(lams).tolist())
+
+    def test_keeps_an_eigenvalue_a_rounding_above_lambda_max(self):
+        X = Circle(TWO_PI)
+        lam_max = float(np.nextafter(1.0, 0.0))
+        Y = X.spectrum_upto(lam_max)
+        assert Y.entries == ((0.0, 1), (1.0, 2))
+        assert Y.certified_bound() == 1.0
+        assert Y.counting(lam_max) == X.counting(lam_max) == 3
