@@ -9,14 +9,13 @@ identical argv + seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__, eigensolver, gridcheck, growth, harmonics, selftest
-from .errors import (ConehError, InvalidArgument, NumericFailure,
-                     PreconditionViolation, ResolutionInsufficient)
+from .errors import ConehError, InvalidArgument
 from .spectra import (Circle, CrossSection, MetricCircleNumeric, RoundSphere,
                       load_spectrum)
 
@@ -55,27 +54,27 @@ def parse_cross_section(text: str) -> CrossSection:
 
 
 def _report(config: dict, body: dict) -> dict:
-    doc = {"schema": SCHEMA, "version": __version__, "config": config}
-    doc.update(body)
-    return doc
+    return {"schema": SCHEMA, "version": __version__, "config": config} | body
 
 
-def _emit(args, doc: dict, csv_rows: tuple[list[str], list[list]] | None = None):
-    if args.format == "csv" and csv_rows is not None:
-        header, rows = csv_rows
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-        text = buf.getvalue()
+def _emit(args, doc: dict, table: list[dict] | None = None,
+          header: list[str] | None = None):
+    """Write `doc` as JSON, or the `header` columns of `table` as CSV; an
+    --output path that cannot be written is InvalidArgument."""
+    if args.format == "csv" and table is not None:
+        rows = [header, *([t[h] for h in header] for t in table)]
+        text = "".join(",".join(repr(v) if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in rows)
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidArgument(f"{args.output}: {exc.strerror or exc}") from exc
 
 
 def _cs_config(args) -> dict:
@@ -90,10 +89,10 @@ def cmd_spectrum(args) -> int:
     X = parse_cross_section(args.cross_section)
     spec = X.spectrum_upto(args.lam_max)
     bars = X.error_bars(spec) if isinstance(X, MetricCircleNumeric) else None
+    spectrum = spec.to_json(error_bars=bars)
     doc = _report(_cs_config(args) | {"lambda_max": args.lam_max},
-                  {"spectrum": spec.to_json(error_bars=bars)})
-    rows = [[lam, mult] for lam, mult in spec.entries]
-    _emit(args, doc, (["lambda", "mult"], rows))
+                  {"spectrum": spectrum})
+    _emit(args, doc, spectrum["entries"], ["lambda", "mult"])
     return EXIT_OK
 
 
@@ -104,58 +103,48 @@ def cmd_count(args) -> int:
              for lam, count, left in zip(lams, X.count_array(lams).tolist(),
                                          X.count_left_array(lams).tolist())]
     doc = _report(_cs_config(args) | {"lambda": lams}, {"counts": table})
-    _emit(args, doc, (["lambda", "count", "count_left"],
-                      [[t["lambda"], t["count"], t["count_left"]] for t in table]))
+    _emit(args, doc, table, ["lambda", "count", "count_left"])
     return EXIT_OK
 
 
 def cmd_hk(args) -> int:
     X = parse_cross_section(args.cross_section)
     if args.k_max is not None:
-        steps = growth.hk_staircase(X, args.n, args.k_max)
-        doc = _report(_cs_config(args), {"staircase": [
-            {"k_lo": s.k_lo, "k_hi": s.k_hi, "h": s.h, "jump": s.jump}
-            for s in steps]})
-        _emit(args, doc, (["k_lo", "k_hi", "h"],
-                          [[s.k_lo, s.k_hi, s.h] for s in steps]))
+        table = [s._asdict()
+                 for s in growth.hk_staircase(X, args.n, args.k_max)]
+        doc = _report(_cs_config(args), {"staircase": table})
+        _emit(args, doc, table, ["k_lo", "k_hi", "h"])
         return EXIT_OK
     rep = growth.hk_bounds(X, args.n, args.k)
-    doc = _report(_cs_config(args), {"growth_report": rep.to_json()})
-    _emit(args, doc)
+    _emit(args, _report(_cs_config(args), {"growth_report": asdict(rep)}))
     return EXIT_OK
 
 
 def cmd_weyl(args) -> int:
     X = parse_cross_section(args.cross_section)
-    table = []
-    for lam in args.lam:
-        r = growth.weyl_ratio(X, args.n, lam)
-        table.append({"lambda": lam, "ratio": r.ratio, "limit": r.limit,
-                      "deviation": r.deviation})
+    table = [{"lambda": lam} | growth.weyl_ratio(X, args.n, lam)._asdict()
+             for lam in args.lam]
     doc = _report(_cs_config(args) | {"lambda": args.lam}, {"weyl": table})
-    _emit(args, doc, (["lambda", "ratio", "limit", "deviation"],
-                      [[t["lambda"], t["ratio"], t["limit"], t["deviation"]]
-                       for t in table]))
+    _emit(args, doc, table, ["lambda", *growth.WeylRatio._fields])
     return EXIT_OK
 
 
 def cmd_asymptotic(args) -> int:
     X = parse_cross_section(args.cross_section)
-    rows = growth.empirical_ratio_convergence(X, args.n, args.k)
+    table = [r._asdict()
+             for r in growth.empirical_ratio_convergence(X, args.n, args.k)]
     doc = _report(_cs_config(args) | {"k": args.k}, {
         "pointwise_limit": growth.asymptotic_ratio(X, args.n),
         "cesaro_limit": growth.cesaro_limit(X, args.n),
-        "table": [r._asdict() for r in rows]})
-    _emit(args, doc, (["k", "pointwise_ratio", "pointwise_deviation",
-                       "cesaro_ratio", "cesaro_deviation"],
-                      [list(r) for r in rows]))
+        "table": table})
+    _emit(args, doc, table, list(growth.EmpiricalRatio._fields))
     return EXIT_OK
 
 
 def cmd_collapsed(args) -> int:
     X = parse_cross_section(args.cross_section)
     rep = growth.collapsed_bounds(X, args.n, args.m, args.k)
-    _emit(args, _report(_cs_config(args), {"collapsed_report": rep.to_json()}))
+    _emit(args, _report(_cs_config(args), {"collapsed_report": asdict(rep)}))
     return EXIT_OK
 
 
@@ -173,25 +162,19 @@ def cmd_frequency(args) -> int:
                    "format": args.format},
                   {"table": table, "identity_residuals": residuals,
                    "sharp_growth_order": order_report})
-    _emit(args, doc, (["s", "I", "D", "U", "J"],
-                      [[t["s"], t["I"], t["D"], t["U"], t["J"]] for t in table]))
+    _emit(args, doc, table, ["s", "I", "D", "U", "J"])
     ok = all(r["residual"] <= 1e-8 for r in residuals)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def cmd_three_circles(args) -> int:
     u = harmonics.load_harmonic(args.harmonic)
-    verdicts = []
-    for s in args.s:
-        res = harmonics.three_circles_ratio(u, s, args.k)
-        verdicts.append({"s": s, "ratio": res.ratio, "bound": res.bound,
-                         "satisfied": res.satisfied})
+    table = [{"s": s} | harmonics.three_circles_ratio(u, s, args.k)._asdict()
+             for s in args.s]
     doc = _report({"harmonic": args.harmonic, "k": args.k, "s": args.s,
-                   "format": args.format}, {"three_circles": verdicts})
-    _emit(args, doc, (["s", "ratio", "bound", "satisfied"],
-                      [[v["s"], v["ratio"], v["bound"], v["satisfied"]]
-                       for v in verdicts]))
-    return EXIT_OK if all(v["satisfied"] for v in verdicts) \
+                   "format": args.format}, {"three_circles": table})
+    _emit(args, doc, table, ["s", *harmonics.ThreeCirclesResult._fields])
+    return EXIT_OK if all(t["satisfied"] for t in table) \
         else EXIT_VERIFICATION
 
 
@@ -204,8 +187,9 @@ def cmd_verify_grid(args) -> int:
                    "resolutions": args.resolutions, "format": args.format},
                   {"fitted_order": order, "residual_max_norms": residuals,
                    "order_in_contract": ok})
-    _emit(args, doc, (["resolution", "residual_max"],
-                      [[m, r] for m, r in zip(args.resolutions, residuals)]))
+    table = [{"resolution": m, "residual_max": r}
+             for m, r in zip(args.resolutions, residuals)]
+    _emit(args, doc, table, ["resolution", "residual_max"])
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -224,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, cross_section=True):
+    def command(name, func, summary, cross_section=True):
+        sp = sub.add_parser(name, help=summary)
         if cross_section:
             sp.add_argument("--cross-section", required=True,
                             help="sphere:<d> | circle:<L> | "
@@ -232,85 +217,69 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None,
                         help="output path (default: stdout)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="certified spectrum emission")
-    common(sp)
+    sp = command("spectrum", cmd_spectrum, "certified spectrum emission")
     sp.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("count", help="counting function N_X")
-    common(sp)
+    sp = command("count", cmd_count, "counting function N_X")
     sp.add_argument("--lambda", dest="lam", type=float, nargs="+",
                     required=True)
-    sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("hk", help="growth-dimension report or staircase")
-    common(sp)
+    sp = command("hk", cmd_hk, "growth-dimension report or staircase")
     sp.add_argument("--n", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=float)
     group.add_argument("--k-max", dest="k_max", type=float)
-    sp.set_defaults(func=cmd_hk)
 
-    sp = sub.add_parser("weyl", help="Weyl ratio table")
-    common(sp)
+    sp = command("weyl", cmd_weyl, "Weyl ratio table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, nargs="+",
                     required=True)
-    sp.set_defaults(func=cmd_weyl)
 
-    sp = sub.add_parser("asymptotic",
-                        help="pointwise and Cesaro ratio convergence table")
-    common(sp)
+    sp = command("asymptotic", cmd_asymptotic,
+                 "pointwise and Cesaro ratio convergence table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=float, nargs="+", required=True)
-    sp.set_defaults(func=cmd_asymptotic)
 
-    sp = sub.add_parser("collapsed", help="collapsed-case bounds")
-    common(sp)
+    sp = command("collapsed", cmd_collapsed, "collapsed-case bounds")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=float, required=True)
-    sp.set_defaults(func=cmd_collapsed)
 
-    sp = sub.add_parser("frequency",
-                        help="I/D/U/J table plus identity residuals")
-    common(sp, cross_section=False)
+    sp = command("frequency", cmd_frequency,
+                 "I/D/U/J table plus identity residuals", cross_section=False)
     sp.add_argument("--harmonic", required=True,
                     help="cone-harmonic JSON file")
     sp.add_argument("--s", type=float, nargs="+", required=True)
-    sp.set_defaults(func=cmd_frequency)
 
-    sp = sub.add_parser("three-circles", help="doubling-ratio verdicts")
-    common(sp, cross_section=False)
+    sp = command("three-circles", cmd_three_circles, "doubling-ratio verdicts",
+                 cross_section=False)
     sp.add_argument("--harmonic", required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--s", type=float, nargs="+", required=True)
-    sp.set_defaults(func=cmd_three_circles)
 
-    sp = sub.add_parser("verify-grid",
-                        help="grid harmonicity and convergence order")
-    common(sp, cross_section=False)
+    sp = command("verify-grid", cmd_verify_grid,
+                 "grid harmonicity and convergence order", cross_section=False)
     sp.add_argument("--mode", type=float, nargs=3, required=True,
                     metavar=("ALPHA", "J", "C"))
     sp.add_argument("--length", type=float, default=2.0 * math.pi)
     sp.add_argument("--window", type=float, nargs=2, default=[0.5, 1.5])
     sp.add_argument("--resolutions", type=int, nargs="+",
                     default=[32, 64, 128])
-    sp.set_defaults(func=cmd_verify_grid)
 
-    sp = sub.add_parser("selftest", help="run the invariant spot-check suite")
-    common(sp, cross_section=False)
+    sp = command("selftest", cmd_selftest, "run the invariant spot-check suite",
+                 cross_section=False)
     sp.add_argument("--seed", type=int, default=42)
-    sp.set_defaults(func=cmd_selftest)
 
     return p
 
 
-def _error_object(exc: ConehError, code: int) -> str:
+def _error_object(exc: ConehError) -> str:
     doc = {"schema": SCHEMA, "version": __version__,
            "error": {"type": type(exc).__name__, "message": str(exc),
-                     "exit_code": code}}
+                     "exit_code": exc.exit_code}}
     extra = getattr(exc, "certified_bound", None)
     if extra is not None:
         doc["error"]["certified_bound"] = extra
@@ -325,19 +294,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ResolutionInsufficient as exc:
-        sys.stdout.write(_error_object(exc, EXIT_RESOLUTION))
-        return EXIT_RESOLUTION
-    except (NumericFailure, PreconditionViolation) as exc:
-        sys.stdout.write(_error_object(exc, EXIT_VERIFICATION))
-        return EXIT_VERIFICATION
-    except (ConehError, OSError, KeyError, json.JSONDecodeError) as exc:
-        code = EXIT_USAGE
-        if isinstance(exc, ConehError):
-            sys.stdout.write(_error_object(exc, code))
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return code
+    except ConehError as exc:
+        sys.stdout.write(_error_object(exc))
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ converge to the closed form at O(h^2), which the tests check.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
 from .spectra import (ExplicitSpectrum, MetricCircleNumeric, _finite_number,
-                      _read_json)
+                      _read_json, _read_text)
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,12 @@ class MetricCircle:
     def __post_init__(self):
         if len(self.density) < 4:
             raise InvalidArgument("need at least 4 density samples")
-        bad = [i for i, a in enumerate(self.density) if not math.isfinite(a)]
-        if bad:
-            raise InvalidArgument(f"density sample {bad[0]} must be finite, "
-                                  f"got {self.density[bad[0]]}")
-        if min(self.density) <= 0:
-            raise InvalidArgument("density must be strictly positive")
+        for i, a in enumerate(self.density):
+            if not math.isfinite(a):
+                raise InvalidArgument(f"density sample {i} must be finite, got {a}")
+            if a <= 0:
+                raise InvalidArgument(
+                    f"density sample {i} must be strictly positive, got {a}")
         if self.total_length > 2.0 * math.pi * (1.0 + 1e-12):
             raise InvalidArgument(
                 f"total length {self.total_length} exceeds 2*pi")
@@ -149,35 +150,37 @@ def certified_spectrum(circle: MetricCircle, lambda_max: float
 def load_density(path: str) -> MetricCircle:
     """Read a density from JSON (plain array) or CSV (theta_index, a_value).
 
-    A sample that is not a finite number, or a CSV row whose index or value
-    is not a number, is InvalidArgument naming the file and the entry."""
-    if path.endswith(".json"):
-        data = _read_json(path)
-        if not isinstance(data, list):
-            raise InvalidArgument(f"{path}: expected a JSON array of samples")
-        bad = [i for i, v in enumerate(data) if not _finite_number(v)]
-        if bad:
-            raise InvalidArgument(
-                f"{path}: sample {bad[0]} must be a finite number, "
-                f"got {json.dumps(data[bad[0]])}")
-        return MetricCircle(tuple(float(v) for v in data))
-    samples: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+    Every error is InvalidArgument naming the file; a sample that is not a
+    finite number or not positive, or a CSV row whose index or value is not
+    a number, is named too."""
+    is_json = path.endswith(".json")
+    data = _read_json(path) if is_json else _read_text(path)
+    try:
+        if is_json:
+            if not isinstance(data, list):
+                raise InvalidArgument("expected a JSON array of samples")
+            bad = [i for i, v in enumerate(data) if not _finite_number(v)]
+            if bad:
+                raise InvalidArgument(f"sample {bad[0]} must be a finite "
+                                      f"number, got {json.dumps(data[bad[0]])}")
+            return MetricCircle(tuple(float(v) for v in data))
+        samples: list[tuple[int, float]] = []
+        rows = csv.reader(io.StringIO(data, newline=""))
         for row in rows:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) != 2:
-                raise InvalidArgument(
-                    f"{path}: expected rows of (theta_index, a_value)")
+                raise InvalidArgument("expected rows of (theta_index, a_value)")
             try:
                 index, value = int(row[0]), float(row[1])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise InvalidArgument(
-                    f"{path}: row {rows.line_num}: expected an integer index "
-                    f"and a finite value, got {','.join(row)!r}")
+                    f"row {rows.line_num}: expected an integer index and a "
+                    f"finite value, got {','.join(row)!r}")
             samples.append((index, value))
-    samples.sort()
-    return MetricCircle(tuple(v for _, v in samples))
+        samples.sort()
+        return MetricCircle(tuple(v for _, v in samples))
+    except (InvalidArgument, csv.Error) as exc:
+        raise InvalidArgument(f"{path}: {exc}") from exc

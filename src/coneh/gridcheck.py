@@ -29,6 +29,7 @@ from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
 from .spectra import Circle
 
 _BLOCK = 32768  # points per row block: a block and its buffers fit in L2
+_MAX_POINTS = 2 ** 24  # points per grid in convergence_order: 128 MiB
 
 
 def _row_blocks(start: int, stop: int, m_theta: int) -> list[tuple[int, int]]:
@@ -124,7 +125,8 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     r = grid.r_nodes[:, None]
     dr = (grid.r_max - grid.r_min) / (grid.m_r - 1)
     dt = grid.L / grid.m_theta
-    dr2, two_dr, dt2 = dr ** 2, 2.0 * dr, dt ** 2
+    # numpy scalars: a square past the float range is inf, not OverflowError
+    dr2, two_dr, dt2 = np.float64(dr) ** 2, 2.0 * dr, np.float64(dt) ** 2
 
     blocks = _row_blocks(1, grid.m_r - 1, grid.m_theta)
     rows = blocks[0][1] - blocks[0][0]
@@ -176,6 +178,9 @@ def convergence_order(mode: tuple[float, float, float], L: float,
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
             raise InvalidArgument("resolutions must double")
+    if resolutions[-1] ** 2 > _MAX_POINTS:
+        raise NumericFailure(f"a {resolutions[-1]}^2 grid needs "
+                             f"{resolutions[-1] ** 2} points, past {_MAX_POINTS}")
     alpha, j, c = mode
     if not (float(j).is_integer() and j >= 1):
         raise InvalidArgument(f"mode number must be an integer >= 1, got {j}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectra
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NumericFailure
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import RESONANCE_TOL, CrossSection
 
@@ -65,14 +65,6 @@ class GrowthReport:
     resonant: bool
     nearest_resonance: float
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k, "n": self.n, "lower": self.lower,
-            "upper": self.upper, "exact": self.exact,
-            "resonant": self.resonant,
-            "nearest_resonance": self.nearest_resonance,
-        }
-
 
 @dataclass(frozen=True)
 class CollapsedReport:
@@ -85,13 +77,6 @@ class CollapsedReport:
     lower: int
     upper: int
     limit_ratio: float
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k, "n": self.n, "m": self.m, "V": self.V,
-            "lower": self.lower, "upper": self.upper,
-            "limit_ratio": self.limit_ratio,
-        }
 
 
 class StaircaseStep(NamedTuple):
@@ -113,6 +98,10 @@ class EmpiricalRatio(NamedTuple):
     pointwise_deviation: float
     cesaro_ratio: float
     cesaro_deviation: float
+
+
+#: Growth orders one Cesaro sum may sample: about 10 s on a 3-sphere.
+_MAX_CESARO_ORDERS = 2 ** 24
 
 
 def _check_dim(X: CrossSection, n: int):
@@ -233,6 +222,9 @@ def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
         k_eff = k + tol if resonant else k
         h = X.counting(eigenvalue_from_exponent(k_eff, n))
         ratio_p = k_eff ** (1 - n) * h
+        if int(k) > _MAX_CESARO_ORDERS:
+            raise NumericFailure(f"the Cesaro sum at k = {k} needs {int(k)} "
+                                 f"orders, past {_MAX_CESARO_ORDERS}")
         ratio_c = k ** (-n) * _cesaro_total(X, n, k, _cesaro_offset(X, k))
         out.append(EmpiricalRatio(
             k=k, pointwise_ratio=ratio_p,

@@ -60,6 +60,12 @@ class ConeHarmonic:
                             dtype=float).reshape(-1, 2).T
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_log_c", np.log(np.abs(c)))
+        # log(2 alpha + n), the divisor of J, also where 2 alpha + n overflows
+        with np.errstate(over="ignore"):
+            log_div = np.log(2.0 * alpha + self.n)
+        object.__setattr__(self, "_log_div", np.where(
+            np.isfinite(log_div), log_div,
+            math.log(2.0) + np.log(alpha + self.n / 2.0)))
 
     @property
     def active_modes(self) -> tuple[Mode, ...]:
@@ -203,8 +209,7 @@ def J(u: ConeHarmonic, s):
     Equals the radial integral of I(r) * r^(n-1) over [0, s] divided by
     s^n, exactly, for every finite mode sum.
     """
-    alpha, logw = _log_weights(u, s)
-    return _exp(_log_sum(logw - np.log(2.0 * alpha + u.n)))
+    return _exp(_log_sum(_log_weights(u, s)[1] - u._log_div))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -264,7 +269,7 @@ def three_circles_ratio(u: ConeHarmonic, s: float, k: float
             raise PreconditionViolation(
                 f"mode {i} (alpha = {m.alpha}, mode_id = {m.mode_id}) "
                 f"exceeds the growth cap {cap}")
-    log_j = logw - np.log(2.0 * alpha + u.n)
+    log_j = logw - u._log_div
     log_j -= log_j.max()  # at s/2 each row entry drops by 2 alpha log 2
     log_ratio = float(_log_sum(log_j)
                       - _log_sum(log_j - 2.0 * math.log(2.0) * alpha))

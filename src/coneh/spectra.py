@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, ResolutionInsufficient
+from .errors import InvalidArgument, NumericFailure, ResolutionInsufficient
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 
 #: Default absolute tolerance on beta for resonance detection.  Closed-form
@@ -48,6 +48,9 @@ _ROUNDING_RTOL = 8.0 * sys.float_info.epsilon
 #: Levels (or growth orders) per array pass over a level table, so the
 #: memory of a pass does not grow with the spectrum or with k.
 LEVEL_BLOCK = 1 << 16
+
+#: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
+_MAX_LEVELS = 2 ** 20
 
 
 def _exact_array(values) -> np.ndarray:
@@ -96,6 +99,11 @@ def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
         raise InvalidArgument(f"entry {i}: " + text.format(
             lam=float(eigs[i]), prev=float(prev[i]),
             mult=mults[i:i + 1].tolist()[0], bound=truncation_bound))
+
+
+def _check_level_count(levels: int, what: str, ceiling: float):
+    if levels > ceiling:
+        raise NumericFailure(f"{what} needs {levels} levels, past {ceiling}")
 
 
 class CrossSection:
@@ -193,21 +201,25 @@ class CrossSection:
             raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
         self._check_certified(lambda_max)
         top = self.level_lookup(np.array([lambda_max * (1.0 + _EQUAL_RTOL)]))
+        _check_level_count(top[0] + 1, f"the spectrum up to {lambda_max}",
+                           _MAX_LEVELS)
         levels = np.arange(top[0] + 1)
         eigs = self.level_eigenvalue(levels)
         return ExplicitSpectrum(
             self.ambient_dim, eigs, np.diff(self.level_count(levels), prepend=0),
             max(lambda_max, float(eigs[-1])), self.measure())
 
-    def resonance_blocks(self, beta_max: float):
+    def resonance_blocks(self, beta_max: float, max_levels: float = math.inf):
         """Yield (exponents, eigenvalues) arrays of the resonances in
-        [0, beta_max], in level order, LEVEL_BLOCK levels at a time."""
+        [0, beta_max], in level order, LEVEL_BLOCK levels at a time; past
+        `max_levels` levels, NumericFailure before the first block."""
         n = self.ambient_dim
         lam_max = eigenvalue_from_exponent(beta_max, n)
         self._check_certified(lam_max)
         # lam_max may round below the eigenvalue whose exponent is beta_max,
         # so the level one past the lookup is read too
         stop = self.level_lookup(np.array([lam_max]))[0] + 2
+        _check_level_count(stop, f"the resonant set up to {beta_max}", max_levels)
         for start in range(0, stop, LEVEL_BLOCK):
             lams = self.level_eigenvalue(
                 np.arange(start, min(start + LEVEL_BLOCK, stop)))
@@ -220,7 +232,7 @@ class CrossSection:
         """(exponents, eigenvalues): every beta in [0, beta_max] with
         beta*(beta+n-2) in the spectrum, beside the stored eigenvalue it
         came from, in level order."""
-        exps, lams = zip(*self.resonance_blocks(beta_max))
+        exps, lams = zip(*self.resonance_blocks(beta_max, _MAX_LEVELS))
         return np.concatenate(exps), np.concatenate(lams)
 
     def is_resonant(self, k: float, tol: float = RESONANCE_TOL
@@ -491,14 +503,28 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
         raise InvalidArgument(f"{source}: {exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; a file that cannot be read as
+    such is InvalidArgument naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(
+            f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _read_json(path: str):
-    """The parsed JSON document at `path`; a syntax error is InvalidArgument."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgument(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    """The parsed JSON document at `path`; a document that does not parse
+    is InvalidArgument."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgument(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # long integers, deep nesting
+        raise InvalidArgument(f"{path}: {exc}") from exc
 
 
 def load_spectrum(path: str) -> ExplicitSpectrum:

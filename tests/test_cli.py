@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -161,6 +162,24 @@ class TestReports:
         assert code == EXIT_OK
         verdict = doc["three_circles"][0]
         assert math.isfinite(verdict["ratio"]) and verdict["satisfied"]
+
+    def test_j_and_ratio_past_the_divisor_range(self, capsys, tmp_path):
+        # 2 alpha + n overflows for alpha = 1e308: J is about 5e-309, and
+        # the doubling ratio 2^(2 alpha) is inf, not NaN
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "modes": [
+            {"alpha": 1e308, "c": 1.0, "mode_id": 1}]}))
+        code, out = run(capsys, "frequency", "--harmonic", str(path),
+                        "--s", "1")
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert code == EXIT_OK
+        assert doc["table"][0]["J"] == pytest.approx(5e-309, rel=1e-10, abs=0)
+        code, out = run(capsys, "three-circles", "--harmonic", str(path),
+                        "--k", "1e308", "--s", "1")
+        verdict = json.loads(out)["three_circles"][0]
+        assert code == EXIT_OK
+        assert verdict["ratio"] == verdict["bound"] == math.inf
+        assert verdict["satisfied"]
 
     def test_three_circles_order_past_the_float_range(self, capsys,
                                                        harmonic_file):
@@ -331,6 +350,11 @@ class TestExitCodes:
         ("float-index.csv", "0,0.5\n1.5,0.5\n", "row 2"),
         ("nan.csv", "0,0.5\n1,0.5\n2,nan\n", "row 3"),
         ("inf.csv", "# theta_index, a_value\n0,0.5\n1,inf\n", "row 3"),
+        ("negative.json", "[0.5, -1, 0.5, 0.5]", "sample 1"),
+        ("zero.csv", "0,0.5\n1,0.5\n2,0\n3,0.5\n", "sample 2"),
+        ("short.json", "[0.5, 0.5]", "at least 4"),
+        ("long.csv", "0,2\n1,2\n2,2\n3,2\n", "exceeds 2*pi"),
+        ("field.csv", "0," + "5" * 200_000 + "\n", "field larger"),
     ])
     def test_usage_error_on_malformed_density_file(self, capsys, tmp_path,
                                                    name, text, where):
@@ -349,6 +373,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["verify-grid", "--mode", "1e308", "1", "1"],
         ["frequency", "--harmonic", "HUGE", "--s", "1", "10"],
+        ["verify-grid", "--mode", "1", "1", "1", "--length", "1e308",
+         "--resolutions", "4", "8", "16"],
     ])
     def test_numeric_failure_past_the_float_range(self, capsys, tmp_path,
                                                   argv):
@@ -365,6 +391,68 @@ class TestExitCodes:
         assert doc["schema"] == "coneh/1"
         assert doc["error"]["type"] == "NumericFailure"
         assert doc["error"]["exit_code"] == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize("kind", [
+        "missing", "directory", "utf16", "deep", "digits"])
+    @pytest.mark.parametrize("role", [
+        "harmonic", "spectrum", "density.json", "density.csv"])
+    def test_usage_error_on_unreadable_file(self, capsys, tmp_path, kind,
+                                            role):
+        path = tmp_path / ("input.csv" if role == "density.csv"
+                           else "input.json")
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "utf16":
+            path.write_bytes(b"\xff\xfe[\x001\x00]\x00")
+        elif kind == "deep":
+            path.write_text("[" * 100_000)
+        elif kind == "digits":
+            path.write_text("[" + "1" * 5000 + "]")
+        argv = (["frequency", "--harmonic", str(path), "--s", "1"]
+                if role == "harmonic" else
+                ["count", "--cross-section", f"{role.split('.')[0]}:{path}",
+                 "--lambda", "1"])
+        code, doc = run_json(capsys, *[a.replace("density:", "metric-circle:")
+                                       for a in argv])
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+        assert str(path) in doc["error"]["message"]
+
+    @pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+    def test_usage_error_on_unwritable_output(self, capsys, tmp_path, target):
+        (tmp_path / "directory").mkdir()
+        path = tmp_path / target
+        code, doc = run_json(capsys, "count", "--cross-section", "sphere:2",
+                             "--lambda", "6", "--output", str(path))
+        assert code == EXIT_USAGE
+        assert doc["error"]["type"] == "InvalidArgument"
+        assert doc["error"]["exit_code"] == EXIT_USAGE
+        assert str(path) in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv, size", [
+        (["asymptotic", "--cross-section", "circle:1", "--n", "2",
+          "--k", "1e12"], "1000000000000 orders"),
+        (["asymptotic", "--cross-section", "sphere:3", "--n", "4",
+          "--k", "2e7"], "20000000 orders"),
+        (["hk", "--cross-section", "circle:6.283185307179586", "--n", "2",
+          "--k-max", "1e12"], "1000000000002 levels"),
+        (["spectrum", "--cross-section", "circle:6.283185307179586",
+          "--lambda-max", "1e18"], "1000000001 levels"),
+        (["spectrum", "--cross-section", "sphere:2", "--lambda-max", "1e18"],
+         "1000000000 levels"),
+        (["verify-grid", "--mode", "1", "1", "1", "--resolutions",
+          "2048", "4096", "8192"], "67108864 points"),
+    ])
+    def test_numeric_failure_past_a_resource_ceiling(self, capsys, argv,
+                                                      size):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_VERIFICATION
+        assert doc["error"]["type"] == "NumericFailure"
+        assert doc["error"]["exit_code"] == EXIT_VERIFICATION
+        assert size in doc["error"]["message"]
 
     def test_count_reports_first_bad_lambda(self, capsys):
         # the whole list is looked up at once; the error is still the one

@@ -173,6 +173,16 @@ class TestConvergenceOrder:
                                         [32, 64, 128])
 
 
+    def test_grid_ceiling(self, monkeypatch):
+        monkeypatch.setattr(gridcheck, "_MAX_POINTS", 64 ** 2)
+        mode, window = (1.0, 1, 1.0), (0.5, 1.5)
+        order, _ = gridcheck.convergence_order(mode, TWO_PI, window,
+                                               [16, 32, 64])
+        assert 1.8 <= order <= 2.2
+        with pytest.raises(NumericFailure, match="16384 points, past 4096"):
+            gridcheck.convergence_order(mode, TWO_PI, window, [32, 64, 128])
+
+
 class TestGridJ:
     def test_matches_closed_form(self):
         u = harmonic_pair()

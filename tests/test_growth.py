@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coneh import (Circle, ExplicitSpectrum, InvalidArgument, RoundSphere,
+from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
+                   NumericFailure, RoundSphere, growth,
                    asymptotic_ratio, ball_volume, cesaro_limit,
                    collapsed_bounds, empirical_ratio_convergence, euclidean_hk,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
@@ -181,6 +182,13 @@ class TestAsymptotics:
         rows = empirical_ratio_convergence(RoundSphere(2), 3, [20, 200])
         assert rows[-1].cesaro_deviation < rows[0].cesaro_deviation + 1e-12
         assert rows[-1].cesaro_deviation <= 0.01 * cesaro_limit(RoundSphere(2), 3)
+
+    def test_cesaro_orders_past_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(growth, "_MAX_CESARO_ORDERS", 10)
+        X = Circle(TWO_PI)
+        assert len(empirical_ratio_convergence(X, 2, [10.5])) == 1
+        with pytest.raises(NumericFailure, match="needs 11 orders, past 10"):
+            empirical_ratio_convergence(X, 2, [11.0])
 
     def test_resonant_k_is_perturbed_not_rejected(self):
         rows = empirical_ratio_convergence(Circle(TWO_PI), 2, [5.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestClosedForms:
         res = three_circles_ratio(u, 10.0, 200.0)
         assert math.isfinite(res.ratio) and res.satisfied
 
-    # J's divisor 2 * alpha + n overflows for alpha = 1e308 (a -inf term)
+    # alpha * log s overflows for alpha = 1e308
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_log_weight_past_the_float_range(self):
         # alpha * log s passes the float maximum at s = 10: the top log
@@ -193,6 +194,26 @@ class TestClosedForms:
         lone = ConeHarmonic(2, (Mode(1e308, 1.0, 1),))
         with pytest.raises(NumericFailure, match="s = 0.1"):
             harmonics.U(lone, 0.1)
+
+
+    def test_J_past_the_divisor_range(self):
+        # 2 alpha + n overflows for alpha = 1e308 while every log weight is
+        # finite: J = 1 / (2e308 + 2), and the doubling ratio 2^(2e308)
+        u = ConeHarmonic(2, (Mode(1e308, 1.0, 1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert harmonics.J(u, 1.0) == pytest.approx(5e-309, rel=1e-10,
+                                                        abs=0)
+            assert three_circles_ratio(u, 1.0, 1e308) == (math.inf, math.inf,
+                                                          True)
+
+    def test_J_divisor_is_bitwise_the_plain_one_where_finite(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            u = random_sum(rng, n=int(rng.integers(2, 7)), max_modes=40,
+                           alpha_max=30.0)
+            want = np.log(2.0 * u._alpha + u.n)
+            assert u._log_div.tobytes() == want.tobytes()
 
 
 class TestFrequencyIdentity:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
-                   MetricCircleNumeric, ResolutionInsufficient, RoundSphere,
-                   eigenvalue_from_exponent, load_spectrum, spectrum_from_json)
+                   MetricCircleNumeric, NumericFailure, ResolutionInsufficient,
+                   RoundSphere, eigenvalue_from_exponent, load_spectrum,
+                   spectrum_from_json, spectra)
 from coneh.eigensolver import MetricCircle
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +39,18 @@ class TestSpectrumUpto:
     def test_rejects_nonpositive_lambda_max(self):
         with pytest.raises(InvalidArgument):
             Circle(math.pi).spectrum_upto(0.0)
+
+
+    def test_level_ceiling(self, monkeypatch):
+        # checked from the level lookup, before any table is built
+        monkeypatch.setattr(spectra, "_MAX_LEVELS", 5)
+        X = Circle(TWO_PI)
+        assert len(X.spectrum_upto(16.0).entries) == 5
+        with pytest.raises(NumericFailure, match="needs 6 levels, past 5"):
+            X.spectrum_upto(25.0)
+        assert X.resonant_set_upto(3.5)[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(NumericFailure, match="needs 6 levels, past 5"):
+            X.resonant_set_upto(4.5)
 
 
 class TestCounting:
