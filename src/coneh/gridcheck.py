@@ -9,6 +9,9 @@ tensor-product trapezoid quadrature.
 Sampling and the residual sweep the grid in blocks of whole rows of about
 `_BLOCK` points: their time is linear in the number of grid points, and
 besides the grid itself they hold only a few block-sized buffers.
+`convergence_order` holds no grid at all: it samples each row block, with
+one halo row above and below, into a reused buffer and applies the stencil
+there, so it holds a few row-block buffers (under 2 MB) at any resolution.
 
 A grid needs a positive, finite circle length and a radial window
 0 < r_min < r_max < inf; `convergence_order` also needs an integral mode
@@ -26,16 +29,27 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
 from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
-from .spectra import Circle
 
 _BLOCK = 32768  # points per row block: a block and its buffers fit in L2
-_MAX_POINTS = 2 ** 24  # points per grid in convergence_order: 128 MiB
+#: Points per grid in convergence_order.  The check holds no grid, so this
+#: bounds time, not memory: resolutions [1024, 2048, 4096] take about
+#: 0.3 s on a 2-core x86 host.
+_MAX_POINTS = 2 ** 24
 
 
 def _row_blocks(start: int, stop: int, m_theta: int) -> list[tuple[int, int]]:
     """Bounds (i0, i1) of consecutive blocks of rows covering [start, stop)."""
     step = max(1, _BLOCK // m_theta)
     return [(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def _check_annulus(L: float, r_min: float, r_max: float):
+    if not 0 < L < math.inf:
+        raise InvalidArgument(
+            f"circle length must be positive and finite, got {L}")
+    if not 0 < r_min < r_max < math.inf:
+        raise InvalidArgument(
+            f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +66,7 @@ class ConeGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.L < math.inf:
-            raise InvalidArgument(
-                f"circle length must be positive and finite, got {self.L}")
-        if not 0 < self.r_min < self.r_max < math.inf:
-            raise InvalidArgument(
-                f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
+        _check_annulus(self.L, self.r_min, self.r_max)
         if self.values.ndim != 2 or 0 in self.values.shape:
             raise InvalidArgument(
                 "values must be a non-empty 2D (r, theta) array")
@@ -79,6 +88,24 @@ class ConeGrid:
         return np.arange(self.m_theta) * self.L / self.m_theta
 
 
+def _mode_terms(u: ConeHarmonic, L: float, r: np.ndarray,
+                theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(radial column c r^alpha, theta row phi) of each active mode, in order."""
+    return [(m.c * r ** m.alpha, circle_eigenfunction(L, m.mode_id, theta))
+            for m in u.modes if m.c != 0.0 and m.mode_id != 0]
+
+
+def _sample_rows(out: np.ndarray, tmp: np.ndarray, constant: float,
+                 terms, i0: int) -> np.ndarray:
+    """Fill `out` with rows i0, i0 + 1, ... of a harmonic: the constant,
+    then col * row of each mode in order, so a sample does not depend on
+    the blocking.  `tmp` is scratch of the shape of `out`."""
+    out.fill(constant)
+    for col, row in terms:
+        out += np.multiply(col[i0:i0 + len(out)], row, out=tmp)
+    return out
+
+
 def sample_harmonic(u: ConeHarmonic, L: float, r_min: float, r_max: float,
                     m_r: int, m_theta: int) -> ConeGrid:
     """Sample a circle-cone harmonic on the annulus grid.
@@ -88,16 +115,12 @@ def sample_harmonic(u: ConeHarmonic, L: float, r_min: float, r_max: float,
     time, into the grid's own array.
     """
     grid = ConeGrid(L, r_min, r_max, np.empty((m_r, m_theta)))
-    r, theta = grid.r_nodes[:, None], grid.theta_nodes
-    terms = [(m.c * r ** m.alpha, circle_eigenfunction(L, m.mode_id, theta))
-             for m in u.modes if m.c != 0.0 and m.mode_id != 0]
+    terms = _mode_terms(u, L, grid.r_nodes[:, None], grid.theta_nodes)
     blocks = _row_blocks(0, m_r, m_theta)
     tmp = np.empty((blocks[0][1] - blocks[0][0], m_theta))
     for i0, i1 in blocks:
-        vals, t = grid.values[i0:i1], tmp[:i1 - i0]
-        vals.fill(float(u.constant_term))
-        for col, row in terms:
-            vals += np.multiply(col[i0:i1], row, out=t)
+        _sample_rows(grid.values[i0:i1], tmp[:i1 - i0],
+                     float(u.constant_term), terms, i0)
     return grid
 
 
@@ -110,6 +133,22 @@ def sample_function(f, L: float, r_min: float, r_max: float,
         np.asarray(f(r, theta), dtype=float), (m_r, m_theta)).copy())
 
 
+def _streamed_rows(u: ConeHarmonic, L: float, r_min: float, r_max: float,
+                   m: int):
+    """`rows(i0, i1)` for `_residual`: rows i0 - 1 .. i1 of
+    sample_harmonic(u, L, r_min, r_max, m, m), sampled into one buffer of
+    a row block and two halo rows that every call reuses."""
+    terms = _mode_terms(u, L, np.linspace(r_min, r_max, m)[:, None],
+                        np.arange(m) * L / m)
+    buf, tmp = np.empty((2, min(max(1, _BLOCK // m), m - 2) + 2, m))
+
+    def rows(i0: int, i1: int) -> np.ndarray:
+        size = i1 - i0 + 2
+        return _sample_rows(buf[:size], tmp[:size], float(u.constant_term),
+                            terms, i0 - 1)
+    return rows
+
+
 def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     """(max, rms) norms of the discrete cone Laplacian over interior points.
 
@@ -119,21 +158,31 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     (u+ - u-) / (2 dr) / r, plus the theta term / dt^2 / r^2, one block of
     rows at a time; the theta wrap reads the edge columns.
     """
-    if grid.m_r < 3 or grid.m_theta < 3:
-        raise InvalidArgument("need at least 3 points in each direction")
     u = grid.values
-    r = grid.r_nodes[:, None]
-    dr = (grid.r_max - grid.r_min) / (grid.m_r - 1)
-    dt = grid.L / grid.m_theta
+    return _residual(lambda i0, i1: u[i0 - 1:i1 + 1], grid.L, grid.r_min,
+                     grid.r_max, grid.m_r, grid.m_theta)
+
+
+def _residual(rows, L: float, r_min: float, r_max: float, m_r: int,
+              m_theta: int) -> tuple[float, float]:
+    """`laplacian_residual` of a function read by rows: for each block
+    [i0, i1) of interior rows in turn, `rows(i0, i1)` returns rows
+    i0 - 1 .. i1 as one C-contiguous (i1 - i0 + 2, m_theta) array."""
+    if m_r < 3 or m_theta < 3:
+        raise InvalidArgument("need at least 3 points in each direction")
+    r = np.linspace(r_min, r_max, m_r)[:, None]
+    dr = (r_max - r_min) / (m_r - 1)
+    dt = L / m_theta
     # numpy scalars: a square past the float range is inf, not OverflowError
     dr2, two_dr, dt2 = np.float64(dr) ** 2, 2.0 * dr, np.float64(dt) ** 2
 
-    blocks = _row_blocks(1, grid.m_r - 1, grid.m_theta)
-    rows = blocks[0][1] - blocks[0][0]
-    two_u, res, tmp = np.empty((3, rows, grid.m_theta))
+    blocks = _row_blocks(1, m_r - 1, m_theta)
+    size = blocks[0][1] - blocks[0][0]
+    two_u, res, tmp = np.empty((3, size, m_theta))
     peak, sum_sq = 0.0, 0.0
     for i0, i1 in blocks:
-        mid, up, down = u[i0:i1], u[i0 + 1:i1 + 1], u[i0 - 1:i1 - 1]
+        u = rows(i0, i1)
+        mid, up, down = u[1:-1], u[2:], u[:-2]
         ri = r[i0:i1]
         two, out, t = two_u[:i1 - i0], res[:i1 - i0], tmp[:i1 - i0]
         np.multiply(2.0, mid, out=two)
@@ -157,7 +206,7 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
         out += t
         sum_sq += np.einsum("ij,ij->", out, out)  # no BLAS thread start-up
         peak = np.maximum(peak, np.abs(out, out=t).max())
-    return float(peak), math.sqrt(sum_sq / ((grid.m_r - 2) * grid.m_theta))
+    return float(peak), math.sqrt(sum_sq / ((m_r - 2) * m_theta))
 
 
 def convergence_order(mode: tuple[float, float, float], L: float,
@@ -189,11 +238,9 @@ def convergence_order(mode: tuple[float, float, float], L: float,
     # c r^alpha times the cos eigenfunction of mode number j (id 2j - 1)
     u = ConeHarmonic(2, (Mode(alpha, c, 2 * int(j) - 1),))
     r_min, r_max = window
-    residuals = []
-    for m in resolutions:
-        grid = sample_harmonic(u, L, r_min, r_max, m, m)
-        res_max, _ = laplacian_residual(grid)
-        residuals.append(res_max)
+    _check_annulus(L, r_min, r_max)
+    residuals = [_residual(_streamed_rows(u, L, r_min, r_max, m),
+                           L, r_min, r_max, m, m)[0] for m in resolutions]
     if not all(map(math.isfinite, residuals)):
         raise NumericFailure(
             f"residual max norms {residuals} are not finite: the mode "

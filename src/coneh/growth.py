@@ -11,6 +11,7 @@ dimension m is smaller than the manifold dimension n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import spectra
 from .errors import InvalidArgument, NumericFailure
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
-from .spectra import RESONANCE_TOL, CrossSection
+from .spectra import RESONANCE_TOL, CrossSection, in_float_range
 
 __all__ = [
     "GrowthReport", "CollapsedReport", "StaircaseStep", "EmpiricalRatio",
@@ -34,7 +35,10 @@ def ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n (exact at half-integer Gamma values)."""
     if n < 1:
         raise InvalidArgument(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    return in_float_range(
+        lambda: math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0),
+        lambda: n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0),
+        f"the volume of the unit {n}-ball")
 
 
 def euclidean_hk(n: int, k: int) -> int:
@@ -104,6 +108,27 @@ class EmpiricalRatio(NamedTuple):
 _MAX_CESARO_ORDERS = 2 ** 24
 
 
+def _scaled(count: int, base: float, exponent: float, what: str) -> float:
+    """count * base ** exponent for an integer count >= 0 and a base > 0."""
+    if count == 0:
+        return 0.0
+
+    def direct():
+        scale = base ** exponent
+        # a subnormal power would round the product: take the logs instead
+        return count * scale if scale >= sys.float_info.min else 0.0
+    return in_float_range(
+        direct, lambda: math.log(count) + exponent * math.log(base), what)
+
+
+def _limit(x: float, f: int, m: int, what: str) -> float:
+    """x / (f! * omega_m), the shape of the asymptotic limits."""
+    omega = ball_volume(m)
+    return in_float_range(
+        lambda: x / (math.factorial(f) * omega),
+        lambda: math.log(x) - math.lgamma(f + 1.0) - math.log(omega), what)
+
+
 def _check_dim(X: CrossSection, n: int):
     if n < 2:
         raise InvalidArgument(f"cone dimension must be >= 2, got {n}")
@@ -171,14 +196,14 @@ def asymptotic_ratio(X: CrossSection, n: int) -> float:
     """The limit of k^(1-n) h_k: 2*alpha / ((n-1)! * omega_n)."""
     _check_dim(X, n)
     alpha = X.measure() / n
-    return 2.0 * alpha / (math.factorial(n - 1) * ball_volume(n))
+    return _limit(2.0 * alpha, n - 1, n, "the pointwise limit")
 
 
 def cesaro_limit(X: CrossSection, n: int) -> float:
     """The limit of k^(-n) * sum of h_(i-1): 2*alpha / (n! * omega_n)."""
     _check_dim(X, n)
     alpha = X.measure() / n
-    return 2.0 * alpha / (math.factorial(n) * ball_volume(n))
+    return _limit(2.0 * alpha, n, n, "the Cesaro limit")
 
 
 def _cesaro_offset(X: CrossSection, k: float) -> float:
@@ -221,11 +246,12 @@ def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
         resonant, _, _ = X.is_resonant(k, tol)
         k_eff = k + tol if resonant else k
         h = X.counting(eigenvalue_from_exponent(k_eff, n))
-        ratio_p = k_eff ** (1 - n) * h
+        ratio_p = _scaled(h, k_eff, 1 - n, f"the pointwise ratio at k = {k}")
         if int(k) > _MAX_CESARO_ORDERS:
             raise NumericFailure(f"the Cesaro sum at k = {k} needs {int(k)} "
                                  f"orders, past {_MAX_CESARO_ORDERS}")
-        ratio_c = k ** (-n) * _cesaro_total(X, n, k, _cesaro_offset(X, k))
+        ratio_c = _scaled(_cesaro_total(X, n, k, _cesaro_offset(X, k)), k, -n,
+                          f"the Cesaro ratio at k = {k}")
         out.append(EmpiricalRatio(
             k=k, pointwise_ratio=ratio_p,
             pointwise_deviation=abs(ratio_p - limit_p),
@@ -244,9 +270,18 @@ def weyl_ratio(X: CrossSection, n: int, lam: float) -> WeylRatio:
     if lam <= 0:
         raise InvalidArgument(f"lambda must be positive, got {lam}")
     alpha = X.measure() / n
-    ratio = X.counting(lam) * lam ** (-(n - 1) / 2.0)
-    limit = n * ball_volume(n - 1) * alpha / (2.0 * math.pi) ** (n - 1)
-    return WeylRatio(ratio, limit, abs(ratio - limit) / limit)
+    ratio = _scaled(X.counting(lam), lam, -(n - 1) / 2.0,
+                    f"the Weyl ratio at lambda = {lam}")
+    omega = ball_volume(n - 1)
+    limit = in_float_range(
+        lambda: n * omega * alpha / (2.0 * math.pi) ** (n - 1),
+        lambda: (math.log(n * omega) + math.log(alpha)
+                 - (n - 1) * math.log(2.0 * math.pi)), "the Weyl limit")
+    deviation = abs(ratio - limit) / limit
+    if deviation == math.inf:
+        raise NumericFailure(f"the Weyl deviation at lambda = {lam} is past "
+                             "the float range")
+    return WeylRatio(ratio, limit, deviation)
 
 
 def collapsed_bounds(X: CrossSection, n: int, m: int, k: float
@@ -267,6 +302,6 @@ def collapsed_bounds(X: CrossSection, n: int, m: int, k: float
     lower = max(1, X.counting_left(k * (k + m - 2)))
     upper = X.counting((k + (n - m) / 2.0) * (k + (n + m) / 2.0 - 2.0))
     V = X.measure()
-    limit_ratio = 2.0 * V / (math.factorial(m) * ball_volume(m))
+    limit_ratio = _limit(2.0 * V, m, m, "the collapsed limit ratio")
     return CollapsedReport(k=k, n=n, m=m, V=V, lower=lower, upper=upper,
                            limit_ratio=limit_ratio)

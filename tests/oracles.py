@@ -57,6 +57,15 @@ def harmonic_poly_dim_binomial(n, k):
     return total
 
 
+def unit_ball_volume(n):
+    """Volume of the unit n-ball by the recursion w_n = 2 pi / n * w_(n-2)
+    from w_0 = 1 and w_1 = 2 (reference for growth.ball_volume)."""
+    vol = 1.0 if n % 2 == 0 else 2.0
+    for m in range(2 if n % 2 == 0 else 3, n + 1, 2):
+        vol *= 2.0 * math.pi / m
+    return vol
+
+
 def simpson_fixed(f, a, b, m=4096):
     """Plain composite Simpson on m intervals (m even)."""
     x = np.linspace(a, b, m + 1)

@@ -443,6 +443,8 @@ class TestExitCodes:
          "1000000000 levels"),
         (["verify-grid", "--mode", "1", "1", "1", "--resolutions",
           "2048", "4096", "8192"], "67108864 points"),
+        (["count", "--cross-section", "sphere:100000", "--lambda", "1"],
+         "sphere dimension 100000 is past"),
     ])
     def test_numeric_failure_past_a_resource_ceiling(self, capsys, argv,
                                                       size):
@@ -453,6 +455,30 @@ class TestExitCodes:
         assert doc["error"]["type"] == "NumericFailure"
         assert doc["error"]["exit_code"] == EXIT_VERIFICATION
         assert size in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["weyl", "--cross-section", "sphere:4", "--n", "5",
+          "--lambda", "1e-300"], "the Weyl ratio at lambda = 1e-300"),
+        (["asymptotic", "--cross-section", "sphere:3", "--n", "4",
+          "--k", "1e-300"], None),
+        (["asymptotic", "--cross-section", "circle:3", "--n", "2",
+          "--k", "1e-300", "2.5"], None),
+        (["weyl", "--cross-section", "sphere:400", "--n", "401",
+          "--lambda", "10"], "the Weyl limit"),
+        (["hk", "--cross-section", "sphere:400", "--n", "401", "--k", "2.5"],
+         None),
+    ])
+    def test_tiny_or_high_dimensional_input(self, capsys, argv, error):
+        # each once ended in OverflowError from a float ** or math.gamma
+        code, out = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert doc["schema"] == "coneh/1"
+        if error is None:
+            assert code == EXIT_OK and "error" not in doc
+        else:
+            assert code == EXIT_VERIFICATION
+            assert doc["error"]["type"] == "NumericFailure"
+            assert error in doc["error"]["message"]
 
     def test_count_reports_first_bad_lambda(self, capsys):
         # the whole list is looked up at once; the error is still the one

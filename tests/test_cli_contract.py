@@ -1,12 +1,12 @@
 """Every argv `cli.main` accepts ends in a report or a typed error object.
 
 Hypothesis builds argv for every subcommand from a grammar of valid and
-hostile tokens: non-finite, huge, negative and non-numeric numbers;
-missing, directory, non-UTF-8, malformed and valid files; small sizes and
-sizes past the resource ceilings.  No exception may escape, the exit code
-is 0-3, and whatever is printed parses as JSON without NaN (or, for CSV
-tables, holds no nan).  Infinity stays allowed: `frequency` reports I, D
-and J past the float range as Infinity.
+hostile tokens: non-finite, huge, tiny, negative and non-numeric numbers;
+spheres of high dimension; missing, directory, non-UTF-8, malformed and
+valid files; small sizes and sizes past the resource ceilings.  No
+exception may escape, the exit code is 0-3, and whatever is printed parses
+as JSON without NaN (or, for CSV tables, holds no nan).  Infinity stays
+allowed: `frequency` reports I, D and J past the float range as Infinity.
 """
 
 import contextlib
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from coneh.cli import EXIT_USAGE, main
 
 HOSTILE = ["nan", "inf", "-inf", "1e308", "1e12", "-1", "0", "abc"]
+TINY = HOSTILE + ["1e-300", "5e-324", "1e-160"]  # powers past the float range
 HOSTILE_SIZES = [["2048", "4096", "8192"], ["-1", "-2", "-4"],
                  ["8", "12", "16"], ["8"], ["abc"]]  # a grid past the ceiling
 
@@ -93,11 +94,13 @@ def argv(draw, paths):
                    "collapsed"):
         # cross-sections beside the cone dimension n they go with
         sections = [("sphere:2", "3"), ("sphere:4", "5"), ("circle:3", "2"),
+                    ("sphere:400", "401"), ("sphere:1000", "1001"),
                     ("circle:6.283185307179586", "2"),
                     *((f"spectrum:{p}", "2") for p in paths["spectrum"]),
                     *((f"metric-circle:{p}", "2") for p in paths["density"])]
         bad = ["sphere:abc", "sphere:0", "circle:nan", "circle:-1",
-               "circle:1e308", "torus:1", "sphere",
+               "circle:1e308", "torus:1", "sphere", "sphere:400",
+               "sphere:1001", "sphere:100000",
                *(f"spectrum:{p}" for p in paths["hostile"]),
                *(f"metric-circle:{p}" for p in paths["hostile_density"])]
         section, n = draw(st.sampled_from(sections))
@@ -108,13 +111,13 @@ def argv(draw, paths):
                  pick(["9.5", "30"], ["nan", "inf", "-1", "0", "abc", "1e308",
                                       "1e18"])]  # 1e18 is past the ceiling
     elif command in ("count", "weyl"):
-        args += ["--lambda", *values(["0.5", "6", "30", "1e12"])]
+        args += ["--lambda", *values(["0.5", "6", "30", "1e12"], TINY)]
         args += dim if command == "weyl" else []
     elif command == "hk":
         args += dim + draw(st.sampled_from([["--k", pick(["2.5", "7", "1e12"])],
                                             ["--k-max", pick(["2.5", "7"])]]))
     elif command == "asymptotic":
-        args += dim + ["--k", *values(["2.5", "7", "100.5"])]
+        args += dim + ["--k", *values(["2.5", "7", "100.5"], TINY)]
     elif command == "collapsed":
         m = dim[1]
         args += ["--m", m, "--n", pick([m, str(int(m) + 1)] if m.isdigit()

@@ -135,6 +135,36 @@ class TestRowBlocks:
         assert peak < 4 * 2 ** 20  # the grid itself is 8 MiB
 
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 20.0), st.integers(1, 6),
+           st.floats(0.1, 5.0), st.booleans(), st.floats(0.1, 20.0),
+           st.floats(1e-3, 2.0), st.floats(1e-3, 5.0), st.integers(3, 40))
+    def test_streamed_check_matches_sampled_grid(self, alpha, j, c, flip, L,
+                                                 r_min, width, m0):
+        c = -c if flip else c
+        window, resolutions = (r_min, r_min + width), [m0, 2 * m0, 4 * m0]
+        u = ConeHarmonic(2, (Mode(alpha, c, 2 * j - 1),))
+        want = [gridcheck.laplacian_residual(
+            gridcheck.sample_harmonic(u, L, *window, m, m))[0].hex()
+            for m in resolutions]
+        for block in BLOCKS:
+            with mock.patch.object(gridcheck, "_BLOCK", block(2 * m0, 2 * m0)):
+                _, got = gridcheck.convergence_order((alpha, j, c), L, window,
+                                                     resolutions)
+            assert [g.hex() for g in got] == want
+
+    def test_convergence_order_holds_no_grid(self):
+        tracemalloc.start()
+        try:
+            gridcheck.convergence_order((1.0, 1, 1.0), TWO_PI, (0.5, 1.5),
+                                        [128, 256, 512, 1024])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10 ** 6  # the m = 1024 grid alone is 8 MiB
+
+
 class TestConvergenceOrder:
     def test_second_order_for_harmonic_mode(self):
         order, residuals = gridcheck.convergence_order(

@@ -10,7 +10,8 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_bounds, hk_staircase, weyl_ratio)
 
-from .oracles import harmonic_poly_dim_binomial, harmonic_poly_dim_brute
+from .oracles import (harmonic_poly_dim_binomial, harmonic_poly_dim_brute,
+                      unit_ball_volume)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +61,40 @@ class TestBallVolume:
         assert ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
         assert ball_volume(4) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [5, 170, 341, 342, 400, 430])
+    def test_past_the_gamma_range(self, n):
+        # math.gamma overflows past n = 341; the volume is about 1e-276 at 400
+        assert ball_volume(n) == pytest.approx(unit_ball_volume(n), rel=1e-12)
+
+    def test_below_the_float_range(self):
+        with pytest.raises(NumericFailure, match="unit 1000-ball"):
+            ball_volume(1000)
+
+
+class TestFloatRange:
+    def test_tiny_order_ratios(self):
+        # no growth order below k: the Cesaro sum is 0, however large k^-n
+        (row,) = empirical_ratio_convergence(RoundSphere(3), 4, [1e-300])
+        assert row.cesaro_ratio == 0.0
+        assert math.isfinite(row.pointwise_ratio)
+        with pytest.raises(NumericFailure, match="pointwise ratio"):
+            empirical_ratio_convergence(RoundSphere(40), 41, [1e-300])
+
+    def test_high_dimensional_sphere(self):
+        X = RoundSphere(400)
+        for k in range(4):
+            assert hk_bounds(X, 401, k + 0.5).upper == euclidean_hk(401, k)
+        # 400! and (2 pi)^400 are past the float range, the limits below it
+        with pytest.raises(NumericFailure, match="Weyl limit"):
+            weyl_ratio(X, 401, 10.0)
+        with pytest.raises(NumericFailure, match="pointwise limit"):
+            asymptotic_ratio(X, 401)
+        # where only a factor leaves the float range, the value is kept
+        X = ExplicitSpectrum(200, [0.0], [1], 1.0, 1e300)
+        want = math.exp(math.log(1e300 / 100) - math.lgamma(200)
+                        - math.log(unit_ball_volume(200)))
+        assert asymptotic_ratio(X, 200) == pytest.approx(want, rel=1e-12)
 
 
 class TestHkBounds:

@@ -13,6 +13,8 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
                    spectrum_from_json, spectra)
 from coneh.eigensolver import MetricCircle
 
+from . import oracles
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -99,6 +101,19 @@ class TestMeasure:
         assert RoundSphere(2).measure() == pytest.approx(4.0 * math.pi, rel=1e-15)
         assert Circle(math.pi).measure() == math.pi
         assert RoundSphere(1).measure() == pytest.approx(TWO_PI, rel=1e-15)
+
+    def test_high_dimensional_sphere(self):
+        # |S^d| = (d + 1) w_(d+1); math.gamma overflows past d = 342
+        for d in (5, 342, 343, 400, 430):
+            assert RoundSphere(d).measure() == pytest.approx(
+                (d + 1) * oracles.unit_ball_volume(d + 1), rel=1e-12)
+        with pytest.raises(NumericFailure, match="outside the float range"):
+            RoundSphere(1000).measure()
+
+    def test_dimension_ceiling(self):
+        RoundSphere(spectra._MAX_SPHERE_DIM)
+        with pytest.raises(NumericFailure, match="1001 is past 1000"):
+            RoundSphere(spectra._MAX_SPHERE_DIM + 1)
 
 
 class TestResonances:
