@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__, eigensolver, gridcheck, growth, harmonics, selftest
-from .errors import ConehError, InvalidArgument
+from .errors import ConehError, InvalidArgument, NumericFailure
 from .spectra import (Circle, CrossSection, MetricCircleNumeric, RoundSphere,
                       load_spectrum)
 
@@ -60,13 +60,20 @@ def _report(config: dict, body: dict) -> dict:
 def _emit(args, doc: dict, table: list[dict] | None = None,
           header: list[str] | None = None):
     """Write `doc` as JSON, or the `header` columns of `table` as CSV; an
-    --output path that cannot be written is InvalidArgument."""
-    if args.format == "csv" and table is not None:
-        rows = [header, *([t[h] for h in header] for t in table)]
-        text = "".join(",".join(repr(v) if isinstance(v, float) else str(v)
-                                for v in row) + "\n" for row in rows)
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    --output path that cannot be written is InvalidArgument, and a count
+    too long to print (past Python's integer-to-text digit limit) is
+    NumericFailure."""
+    try:
+        if args.format == "csv" and table is not None:
+            rows = [header, *([t[h] for h in header] for t in table)]
+            text = "".join(",".join(repr(v) if isinstance(v, float) else str(v)
+                                    for v in row) + "\n" for row in rows)
+        else:
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        raise NumericFailure(
+            "the report holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
     if not args.output:
         sys.stdout.write(text)
         return

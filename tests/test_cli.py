@@ -467,9 +467,14 @@ class TestExitCodes:
           "--lambda", "10"], "the Weyl limit"),
         (["hk", "--cross-section", "sphere:400", "--n", "401", "--k", "2.5"],
          None),
+        (["hk", "--cross-section", "sphere:1000", "--n", "1001",
+          "--k", "1e12"], "more than 4300 digits"),
+        (["hk", "--cross-section", "sphere:1000", "--n", "1001",
+          "--k", "1e12", "--format", "csv"], "more than 4300 digits"),
     ])
     def test_tiny_or_high_dimensional_input(self, capsys, argv, error):
-        # each once ended in OverflowError from a float ** or math.gamma
+        # each once ended in OverflowError from a float ** or math.gamma,
+        # or in ValueError from printing an h_k of some 12000 digits
         code, out = run(capsys, *argv)
         doc = json.loads(out, parse_constant=pytest.fail)
         assert doc["schema"] == "coneh/1"
