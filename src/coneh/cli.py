@@ -9,6 +9,7 @@ identical argv + seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -207,7 +208,12 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `main`.
+
+    Parsing leaves the parser unchanged, and every default is immutable,
+    so no call sees what an earlier one parsed."""
     p = argparse.ArgumentParser(
         prog="coneh",
         description="Spectral counting functions, growth dimensions and "
@@ -272,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", type=float, nargs=3, required=True,
                     metavar=("ALPHA", "J", "C"))
     sp.add_argument("--length", type=float, default=2.0 * math.pi)
-    sp.add_argument("--window", type=float, nargs=2, default=[0.5, 1.5])
+    sp.add_argument("--window", type=float, nargs=2, default=(0.5, 1.5))
     sp.add_argument("--resolutions", type=int, nargs="+",
-                    default=[32, 64, 128])
+                    default=(32, 64, 128))
 
     sp = command("selftest", cmd_selftest, "run the invariant spot-check suite",
                  cross_section=False)
@@ -294,9 +300,8 @@ def _error_object(exc: ConehError) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,7 @@ def _residual(rows, L: float, r_min: float, r_max: float, m_r: int,
 
 def convergence_order(mode: tuple[float, float, float], L: float,
                       window: tuple[float, float],
-                      resolutions: list[int]) -> tuple[float, list[float]]:
+                      resolutions: Sequence[int]) -> tuple[float, list[float]]:
     """Fitted order of the Laplacian residual for one cos mode.
 
     mode = (alpha, j, c) with an integral mode number j >= 1 and a nonzero

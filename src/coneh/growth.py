@@ -153,12 +153,9 @@ def hk_bounds(X: CrossSection, n: int, k: float,
     """
     _check_dim(X, n)
     _check_order(k)
-    lam = eigenvalue_from_exponent(k, n)
-    upper = X.counting(lam)
-    lower = max(1, X.counting_left(lam))
-    resonant, beta, _dist = X.is_resonant(k, tol)
+    upper, left, (resonant, beta, _dist) = X.growth_counts(k, tol)
     return GrowthReport(
-        k=k, n=n, lower=lower, upper=upper,
+        k=k, n=n, lower=max(1, left), upper=upper,
         exact=None if resonant else upper,
         resonant=resonant, nearest_resonance=beta)
 

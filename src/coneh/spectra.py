@@ -52,6 +52,13 @@ LEVEL_BLOCK = 1 << 16
 #: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
 _MAX_LEVELS = 2 ** 20
 
+#: Level-count work a round-sphere table may take, in levels times the
+#: dimension d: a level count is a product of d integers, so the work per
+#: level grows with d.  The counts of a full table take about 0.5 s up to
+#: d = 100, 0.9 s on S^400 (10485 levels) and 1.8 s on S^1000 (4194
+#: levels), 2-core x86 host.
+_MAX_SPHERE_TABLE_WORK = 2 ** 22
+
 #: Largest round-sphere dimension.  A level count is a product of d big
 #: integers: `count` at two lambdas takes about 0.6 ms at d = 1000 and
 #: 0.5 s at d = 30000 (2-core x86 host).
@@ -161,6 +168,10 @@ class CrossSection:
         """The (n-1)-dimensional Hausdorff measure of X."""
         raise NotImplementedError
 
+    def max_levels(self) -> int:
+        """Levels a spectrum table or a resonant set of X may hold."""
+        return _MAX_LEVELS
+
     # -- the counting core ------------------------------------------------------
 
     def _check_certified(self, lam: float):
@@ -226,14 +237,15 @@ class CrossSection:
         if lambda_max <= 0:
             raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
         self._check_certified(lambda_max)
+        measure = self.measure()
         top = self.level_lookup(np.array([lambda_max * (1.0 + _EQUAL_RTOL)]))
         _check_level_count(top[0] + 1, f"the spectrum up to {lambda_max}",
-                           _MAX_LEVELS)
+                           self.max_levels())
         levels = np.arange(top[0] + 1)
         eigs = self.level_eigenvalue(levels)
         return ExplicitSpectrum(
             self.ambient_dim, eigs, np.diff(self.level_count(levels), prepend=0),
-            max(lambda_max, float(eigs[-1])), self.measure())
+            max(lambda_max, float(eigs[-1])), measure)
 
     def resonance_blocks(self, beta_max: float, max_levels: float = math.inf):
         """Yield (exponents, eigenvalues) arrays of the resonances in
@@ -258,7 +270,7 @@ class CrossSection:
         """(exponents, eigenvalues): every beta in [0, beta_max] with
         beta*(beta+n-2) in the spectrum, beside the stored eigenvalue it
         came from, in level order."""
-        exps, lams = zip(*self.resonance_blocks(beta_max, _MAX_LEVELS))
+        exps, lams = zip(*self.resonance_blocks(beta_max, self.max_levels()))
         return np.concatenate(exps), np.concatenate(lams)
 
     def is_resonant(self, k: float, tol: float = RESONANCE_TOL
@@ -270,6 +282,29 @@ class CrossSection:
         either side of k(k+n-2) are read; the one above counts while its
         exponent is at most k + max(tol, 1) and certified.
         """
+        window = self._resonance_window(k, tol)
+        lam = eigenvalue_from_exponent(k, self.ambient_dim)
+        return self._nearest_resonance(
+            k, tol, window, self.level_lookup(np.array([lam]))[0])
+
+    def growth_counts(self, k: float, tol: float = RESONANCE_TOL
+                      ) -> tuple[int, int, tuple[bool, float, float]]:
+        """(counting(lam), counting_left(lam), is_resonant(k, tol)) at
+        lam = k(k+n-2), with the checks of the three in their order, from
+        one level lookup."""
+        lam = eigenvalue_from_exponent(k, self.ambient_dim)
+        self._check_certified(lam)
+        window = self._resonance_window(k, tol)
+        # the probes of count_array, count_left_array and is_resonant
+        levels = self.level_lookup(np.array([
+            lam * (1.0 + _EQUAL_RTOL),
+            np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf), lam]))
+        upper, left = self.level_count(levels[:2]).tolist()
+        return upper, left, self._nearest_resonance(k, tol, window, levels[2])
+
+    def _resonance_window(self, k: float, tol: float) -> float:
+        """The largest exponent `is_resonant` reads at k: k + max(tol, 1), or
+        less where the certified spectrum ends before it."""
         if tol < 0:
             raise InvalidArgument(f"tol must be nonnegative, got {tol}")
         if k < 0:
@@ -281,7 +316,12 @@ class CrossSection:
         except ResolutionInsufficient:
             self._check_certified(eigenvalue_from_exponent(k + tol, n))
             window = exponent_from_eigenvalue(self.certified_bound(), n)
-        i = self.level_lookup(np.array([eigenvalue_from_exponent(k, n)]))[0]
+        return window
+
+    def _nearest_resonance(self, k: float, tol: float, window: float, i: int
+                           ) -> tuple[bool, float, float]:
+        """`is_resonant` from the level i of k(k+n-2)."""
+        n = self.ambient_dim
         below, above = exponent_from_eigenvalue(
             self.level_eigenvalue(np.array([i, i + 1])), n).tolist()
         closer = above <= window and abs(k - above) < abs(k - below)
@@ -332,6 +372,9 @@ class RoundSphere(CrossSection):
         d1 = self.d - 1
         root = np.sqrt(d1 * d1 + 4.0 * np.maximum(lam, 0.0))
         return self._settle(np.floor((root - d1) / 2.0), lam)
+
+    def max_levels(self) -> int:
+        return min(_MAX_LEVELS, _MAX_SPHERE_TABLE_WORK // self.d)
 
     def measure(self) -> float:
         # surface measure of the unit d-sphere
@@ -415,6 +458,9 @@ class ExplicitSpectrum(CrossSection):
         # the level past the table reads as inf: nothing there is certified
         self._eigs = np.append(eigs, math.inf)
         self._cum = _cumulative(mults)
+        # read-only, so a spectrum `load_spectrum` keeps cannot be changed
+        self._eigs.setflags(write=False)
+        self._cum.setflags(write=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -549,7 +595,12 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     """The parsed JSON document at `path`; a document that does not parse
     is InvalidArgument."""
-    text = _read_text(path)
+    return _parse_json(_read_text(path), path)
+
+
+def _parse_json(text: str, path: str):
+    """The JSON document `text` read from `path`; a document that does not
+    parse is InvalidArgument naming the path."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -559,6 +610,21 @@ def _read_json(path: str):
         raise InvalidArgument(f"{path}: {exc}") from exc
 
 
+#: (text, spectrum) of the last spectrum file `load_spectrum` parsed.
+_last_load: tuple[str, ExplicitSpectrum] | None = None
+
+
 def load_spectrum(path: str) -> ExplicitSpectrum:
-    """Load and validate a spectrum JSON file."""
-    return spectrum_from_json(_read_json(path), source=path)
+    """Load and validate a spectrum JSON file.
+
+    The file is read on every call.  The spectrum of the last text that
+    parsed is kept beside that text, and a file read with the same text is
+    not parsed again: many in-process CLI calls on one file parse it once.
+    A file with other text misses, so the kept spectrum cannot go stale,
+    and a text that fails is not kept, so it fails on every call."""
+    global _last_load
+    text = _read_text(path)
+    if _last_load is None or _last_load[0] != text:
+        _last_load = text, spectrum_from_json(_parse_json(text, path),
+                                              source=path)
+    return _last_load[1]

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from coneh import spectra
 from coneh.cli import (EXIT_OK, EXIT_RESOLUTION, EXIT_USAGE,
-                       EXIT_VERIFICATION, main, parse_cross_section)
+                       EXIT_VERIFICATION, build_parser, main,
+                       parse_cross_section)
 from coneh.spectra import Circle, ExplicitSpectrum, RoundSphere
 
 TWO_PI = 2.0 * math.pi
@@ -220,6 +222,37 @@ class TestFormatsAndDeterminism:
         _, out1 = run(capsys, *argv)
         _, out2 = run(capsys, *argv)
         assert out1 == out2
+
+
+class TestInProcessReuse:
+    """`main` reuses one parser, and `load_spectrum` keeps the last parse:
+    neither may carry anything from one call into the next."""
+
+    def test_reused_parser_shares_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        argv = ("verify-grid", "--mode", "1", "1", "1")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == EXIT_OK and second == first
+        assert run(capsys, "verify-grid", "--mode", "1", "1")[0] == EXIT_USAGE
+        assert run(capsys, *argv) == first
+        doc = json.loads(first[1])
+        assert doc["config"]["window"] == [0.5, 1.5]
+        assert doc["config"]["resolutions"] == [32, 64, 128]
+
+    def test_one_parse_per_file_text(self, capsys, monkeypatch,
+                                     spectrum_file):
+        parses, from_json = [], spectra.spectrum_from_json
+
+        def counted(doc, source):
+            parses.append(source)
+            return from_json(doc, source)
+        monkeypatch.setattr(spectra, "spectrum_from_json", counted)
+        monkeypatch.setattr(spectra, "_last_load", None)
+        argv = ("count", "--cross-section", f"spectrum:{spectrum_file}",
+                "--lambda", "5")
+        outs = [run(capsys, *argv) for _ in range(5)]
+        assert parses == [spectrum_file]
+        assert outs == [(EXIT_OK, outs[0][1])] * 5
 
 
 class TestExitCodes:
@@ -445,6 +478,13 @@ class TestExitCodes:
           "2048", "4096", "8192"], "67108864 points"),
         (["count", "--cross-section", "sphere:100000", "--lambda", "1"],
          "sphere dimension 100000 is past"),
+        # the measure before any level count, and levels times d bounded
+        (["spectrum", "--cross-section", "sphere:1000", "--lambda-max", "1e7"],
+         "the measure of S^1000"),
+        (["spectrum", "--cross-section", "sphere:400", "--lambda-max", "1e12"],
+         "999801 levels, past 10485"),
+        (["hk", "--cross-section", "sphere:400", "--n", "401",
+          "--k-max", "1e6"], "levels, past 10485"),
     ])
     def test_numeric_failure_past_a_resource_ceiling(self, capsys, argv,
                                                       size):
@@ -484,6 +524,14 @@ class TestExitCodes:
             assert code == EXIT_VERIFICATION
             assert doc["error"]["type"] == "NumericFailure"
             assert error in doc["error"]["message"]
+
+    def test_high_dimensional_spectrum_within_the_ceiling(self, capsys):
+        code, doc = run_json(capsys, "spectrum", "--cross-section",
+                             "sphere:400", "--lambda-max", "1e7")
+        assert code == EXIT_OK
+        entries = doc["spectrum"]["entries"]
+        assert len(entries) == 2970
+        assert entries[1] == {"lambda": 400.0, "mult": 401}
 
     def test_count_reports_first_bad_lambda(self, capsys):
         # the whole list is looked up at once; the error is still the one

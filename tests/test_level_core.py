@@ -7,6 +7,7 @@ compare them with linear scans over the `spectrum_upto` entries.
 
 import bisect
 import math
+import re
 import sys
 
 import numpy as np
@@ -90,6 +91,30 @@ def test_is_resonant_matches_nearest_search(X, tol):
         best = min(candidates, key=lambda b: abs(k - b))
         dist = abs(k - best)
         assert X.is_resonant(k, tol) == (dist <= tol, best, dist), k
+
+
+@pytest.mark.parametrize("X", CROSS_SECTIONS)
+@pytest.mark.parametrize("tol", [1e-9, 2.0])
+def test_growth_counts_match_the_three_lookups(X, tol):
+    # hk_bounds reads all three from one level lookup
+    n = X.ambient_dim
+    exps = X.resonant_set_upto(25.0)[0].tolist()
+    for k in [*np.random.default_rng(3).uniform(0.0, 25.0, 40), *exps,
+              *(np.nextafter(b, side) for b in exps for side in (0.0, 99.0))]:
+        lam = eigenvalue_from_exponent(k, n)
+        assert X.growth_counts(k, tol) == (
+            X.counting(lam), X.counting_left(lam), X.is_resonant(k, tol)), k
+
+
+def test_growth_counts_fail_as_the_three_lookups():
+    X = random_spectrum(3)
+    top = exponent_from_eigenvalue(X.certified_bound(), 3)
+    for k, tol in [(top + 1.0, 1e-9), (top - 0.1, 0.5), (2.0, -1.0)]:
+        with pytest.raises(Exception) as expected:
+            lam = eigenvalue_from_exponent(k, 3)
+            X.counting(lam), X.counting_left(lam), X.is_resonant(k, tol)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            X.growth_counts(k, tol)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -286,6 +286,43 @@ class TestArrayLoader:
         assert vars(X).keys() == state
 
 
+class TestLoadCache:
+    """load_spectrum keeps the spectrum of the last text that parsed."""
+
+    def test_levels_are_read_only(self, tmp_path):
+        loaded = load_spectrum(write_entries(tmp_path / "s.json",
+                                             random_entries(6, 20)))
+        for X in (loaded, RoundSphere(2).spectrum_upto(30.0)):
+            for levels in (X._eigs, X._cum):
+                with pytest.raises(ValueError, match="read-only"):
+                    levels[1] = 0
+
+    def test_same_text_is_parsed_once(self, tmp_path):
+        entries = random_entries(7, 20)
+        first = load_spectrum(write_entries(tmp_path / "a.json", entries))
+        assert load_spectrum(str(tmp_path / "a.json")) is first
+        # keyed by the text, not by the path
+        assert load_spectrum(write_entries(tmp_path / "b.json", entries)) \
+            is first
+
+    def test_rewritten_file_gives_the_new_spectrum(self, tmp_path):
+        path = tmp_path / "s.json"
+        old = load_spectrum(write_entries(path, [(0.0, 1), (2.0, 3)]))
+        new = load_spectrum(write_entries(path, [(0.0, 1), (2.0, 4)]))
+        assert old.entries == ((0.0, 1), (2.0, 3))
+        assert new.entries == ((0.0, 1), (2.0, 4))
+
+    def test_broken_file_fails_on_every_load(self, tmp_path):
+        path = tmp_path / "s.json"
+        good = write_entries(path, [(0.0, 1), (2.0, 3)])
+        load_spectrum(good)
+        path.write_text(path.read_text().replace("3}", "-3}"))
+        for _ in range(3):
+            with pytest.raises(InvalidArgument,
+                               match=r"s.json: entry 1: multiplicity"):
+                load_spectrum(good)
+
+
 #: One broken rule per case: (entries, bound, message); each names entry 2.
 BROKEN_ENTRIES = [
     ([(0.0, 1), (1.0, 2), (-1.0, 2)], 10.0, "negative eigenvalue"),
