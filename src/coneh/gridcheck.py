@@ -281,14 +281,3 @@ def grid_J(grid: ConeGrid, s: float) -> float:
         integral += 0.5 * (f[idx] + fs) * (s - r[idx])
     return integral / s ** 2
 
-
-def grid_dump_csv(grid: ConeGrid, path: str):
-    """Write (r, theta, value) rows for external inspection."""
-    r = grid.r_nodes
-    theta = grid.theta_nodes
-    with open(path, "w") as fh:
-        fh.write("r,theta,value\n")
-        for i in range(grid.m_r):
-            for j in range(grid.m_theta):
-                fh.write(f"{float(r[i])!r},{float(theta[j])!r},"
-                         f"{float(grid.values[i, j])!r}\n")

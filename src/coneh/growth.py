@@ -215,13 +215,22 @@ def _cesaro_offset(X: CrossSection, k: float) -> float:
     return min(0.25, gap / 2.0)
 
 
+def _exact_sum(counts: np.ndarray) -> int:
+    """The sum of nonnegative exact counts as a Python int: summed in int64
+    where size * max < 2**63 proves the sum fits, as Python ints else."""
+    if counts.dtype == np.int64 and counts.size * int(counts.max()) < 2 ** 63:
+        return int(counts.sum())
+    return sum(counts.tolist())
+
+
 def _cesaro_total(X: CrossSection, n: int, k: float, delta: float) -> int:
     """Sum of N_X at the growth orders i - 1 + delta, i = 1..int(k), as an
-    exact integer; the orders go through the level table in blocks."""
+    exact integer; the orders go through the level table in blocks, each
+    summed by `_exact_sum`."""
     total = 0
     for start in range(0, int(k), spectra.LEVEL_BLOCK):
         orders = np.arange(start, min(start + spectra.LEVEL_BLOCK, int(k))) + delta
-        total += sum(X.count_array(eigenvalue_from_exponent(orders, n)).tolist())
+        total += _exact_sum(X.count_array(eigenvalue_from_exponent(orders, n)))
     return total
 
 

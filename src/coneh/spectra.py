@@ -539,13 +539,41 @@ def _numbers(key: str, values: list, convert) -> np.ndarray:
         f"entry {i}: '{key}' must be a finite number, got {json.dumps(values[i])}")
 
 
+def _columns(entries) -> tuple[list, list]:
+    """The lambda and mult columns of a spectrum file's 'entries', given as
+    a list of {"lambda": x, "mult": k} objects or as one object of two
+    equally long lists, {"lambda": [x, ...], "mult": [k, ...]}."""
+    if isinstance(entries, dict):
+        lams, mults = entries.get("lambda"), entries.get("mult")
+        if not (isinstance(lams, list) and isinstance(mults, list)):
+            raise InvalidArgument(
+                "columnar 'entries' must hold 'lambda' and 'mult' lists")
+        if len(lams) != len(mults):
+            raise InvalidArgument(f"entry {min(len(lams), len(mults))} "
+                                  "must have 'lambda' and 'mult'")
+        return lams, mults
+    if not isinstance(entries, list):
+        raise InvalidArgument("'entries' must be a list or an object of "
+                              f"columns, got {json.dumps(entries)}")
+    try:
+        return ([ent["lambda"] for ent in entries],
+                [ent["mult"] for ent in entries])
+    except (KeyError, TypeError):
+        i = next(i for i, ent in enumerate(entries) if not (
+            isinstance(ent, dict) and "lambda" in ent and "mult" in ent))
+        raise InvalidArgument(
+            f"entry {i} must have 'lambda' and 'mult'") from None
+
+
 def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
     """Build an ExplicitSpectrum from the documented JSON layout.
 
     Layout: {"ambient_dim": n, "measure": m, "truncation_bound": L,
-    "entries": [{"lambda": x, "mult": k}, ...]}.  The two entry columns
-    are read into arrays and validated by `_check_levels`; violations are
-    rejected with the source and the offending entry index in the message.
+    "entries": [{"lambda": x, "mult": k}, ...]}, or the same with the
+    entries as columns, "entries": {"lambda": [x, ...], "mult": [k, ...]}.
+    The two entry columns are read into arrays and validated by
+    `_check_levels`; violations are rejected with the source and the
+    offending entry index in the message.
     """
     try:
         if not isinstance(doc, dict):
@@ -561,18 +589,7 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
             if not _finite_number(doc[key]):
                 raise InvalidArgument(
                     f"'{key}' must be a finite number, got {json.dumps(doc[key])}")
-        entries = doc["entries"]
-        if not isinstance(entries, list):
-            raise InvalidArgument(
-                f"'entries' must be a list, got {json.dumps(entries)}")
-        try:
-            lams = [ent["lambda"] for ent in entries]
-            mults = [ent["mult"] for ent in entries]
-        except (KeyError, TypeError):
-            i = next(i for i, ent in enumerate(entries) if not (
-                isinstance(ent, dict) and "lambda" in ent and "mult" in ent))
-            raise InvalidArgument(
-                f"entry {i} must have 'lambda' and 'mult'") from None
+        lams, mults = _columns(doc["entries"])
         return ExplicitSpectrum(
             int(dim), _numbers("lambda", lams, lambda v: np.array(v, dtype=float)),
             _numbers("mult", mults, _exact_array),
@@ -581,15 +598,31 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
         raise InvalidArgument(f"{source}: {exc}") from exc
 
 
+def _read_bytes(path: str) -> bytes:
+    """The raw bytes of the file at `path`; a file that cannot be read is
+    InvalidArgument naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidArgument(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _decode(data: bytes, path: str) -> str:
+    """`data` read from `path` as `open(path, encoding="utf-8")` reads it:
+    UTF-8 with universal newlines; bytes that are not UTF-8 are
+    InvalidArgument naming the path."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of the file at `path`; a file that cannot be read as
     such is InvalidArgument naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidArgument(
-            f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return _decode(_read_bytes(path), path)
 
 
 def _read_json(path: str):
@@ -610,21 +643,23 @@ def _parse_json(text: str, path: str):
         raise InvalidArgument(f"{path}: {exc}") from exc
 
 
-#: (text, spectrum) of the last spectrum file `load_spectrum` parsed.
-_last_load: tuple[str, ExplicitSpectrum] | None = None
+#: (bytes, spectrum) of the last spectrum file `load_spectrum` parsed.
+_last_load: tuple[bytes, ExplicitSpectrum] | None = None
 
 
 def load_spectrum(path: str) -> ExplicitSpectrum:
     """Load and validate a spectrum JSON file.
 
-    The file is read on every call.  The spectrum of the last text that
-    parsed is kept beside that text, and a file read with the same text is
-    not parsed again: many in-process CLI calls on one file parse it once.
-    A file with other text misses, so the kept spectrum cannot go stale,
-    and a text that fails is not kept, so it fails on every call."""
+    The file's bytes are read on every call.  The spectrum of the last
+    file that parsed is kept beside the bytes it was parsed from, and a
+    file read with the same bytes is neither decoded nor parsed again:
+    many in-process CLI calls on one file parse it once.  A file with
+    other bytes misses, so the kept spectrum cannot go stale, and a file
+    that cannot be read, decoded or parsed is not kept, so it fails on
+    every call."""
     global _last_load
-    text = _read_text(path)
-    if _last_load is None or _last_load[0] != text:
-        _last_load = text, spectrum_from_json(_parse_json(text, path),
-                                              source=path)
+    data = _read_bytes(path)
+    if _last_load is None or _last_load[0] != data:
+        doc = _parse_json(_decode(data, path), path)
+        _last_load = data, spectrum_from_json(doc, source=path)
     return _last_load[1]

@@ -246,16 +246,3 @@ class TestGridJ:
         with pytest.raises(InvalidArgument, match="window"):
             gridcheck.grid_J(grid, 2.0)
 
-
-class TestCsvDump:
-    def test_rows_round_trip(self, tmp_path):
-        grid = gridcheck.sample_function(lambda r, t: r * np.cos(t),
-                                         TWO_PI, 0.5, 1.0, 3, 4)
-        path = tmp_path / "grid.csv"
-        gridcheck.grid_dump_csv(grid, str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "r,theta,value"
-        assert len(lines) == 1 + 3 * 4
-        r, theta, val = (float(x) for x in lines[1].split(","))
-        assert (r, theta) == (0.5, 0.0)
-        assert val == pytest.approx(0.5)

@@ -173,6 +173,47 @@ def test_cesaro_total_across_block_boundaries(X, n, k, monkeypatch):
     assert growth._cesaro_total(X, n, k, delta) == total
 
 
+def test_cesaro_blocks_on_both_sides_of_the_int64_guard(monkeypatch):
+    X, n, k = RoundSphere(5), 6, 10_000.5  # a total past 2**63
+    delta = growth._cesaro_offset(X, k)
+    blocks, exact_sum = [], growth._exact_sum
+
+    def recorded(counts):
+        blocks.append(counts.size * int(counts.max()) < 2 ** 63)
+        return exact_sum(counts)
+    monkeypatch.setattr(growth, "_exact_sum", recorded)
+    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 997)
+    total = growth._cesaro_total(X, n, k, delta)
+    # early blocks are summed in int64, late ones as Python ints
+    assert True in blocks and False in blocks
+    assert type(total) is int
+    assert total == per_order_total(X, n, k, delta)
+
+
+class _NoList(np.ndarray):
+    """An array that fails where it would be summed as Python ints."""
+
+    def tolist(self):
+        raise AssertionError("summed as Python ints")
+
+
+@pytest.mark.parametrize("values, total", [
+    ([3, 0, 5], 8),
+    ([2 ** 62 - 1, 2 ** 62 - 1], 2 ** 63 - 2),
+    ([2 ** 62, 2 ** 62], 2 ** 63),  # wraps to -2**63 in int64
+    ([2 ** 63 - 1], 2 ** 63 - 1),
+    ([2 ** 63 - 1, 1], 2 ** 63),
+    ([2 ** 64, 1], 2 ** 64 + 1),  # object dtype
+])
+def test_exact_sum_is_exact_on_both_sides_of_the_guard(values, total):
+    counts = spectra._exact_array(values)
+    fits = counts.dtype == np.int64 and len(values) * max(values) < 2 ** 63
+    if fits:  # the int64 path, or the spy raises
+        counts = counts.view(_NoList)
+    result = growth._exact_sum(counts)
+    assert type(result) is int and result == total
+
+
 def test_cesaro_offset_sees_gap_across_block_boundary(monkeypatch):
     # exponents 0, 1, ..., 999, 999.1, 1001, ...: the smallest gap, from
     # 999 to 999.1, lies between the last level of the first block and the

@@ -219,11 +219,17 @@ class TestJsonInterchange:
             load_spectrum(str(path))
 
 
-def write_entries(path, entries, measure=5.0, bound=None, n=3):
+def write_entries(path, entries, measure=5.0, bound=None, n=3, columns=False):
+    """A spectrum file of the entries, as an entry list or as columns."""
     bound = entries[-1][0] + 10.0 if bound is None else bound
+    if columns:
+        lams, mults = (list(col) for col in zip(*entries))
+        doc_entries = {"lambda": lams, "mult": mults}
+    else:
+        doc_entries = [{"lambda": lam, "mult": m} for lam, m in entries]
     path.write_text(json.dumps({
         "ambient_dim": n, "measure": measure, "truncation_bound": bound,
-        "entries": [{"lambda": lam, "mult": m} for lam, m in entries]}))
+        "entries": doc_entries}))
     return str(path)
 
 
@@ -271,6 +277,21 @@ class TestArrayLoader:
         assert loaded.spectrum_upto(bound).to_json() == \
             built.spectrum_upto(bound).to_json()
 
+    @pytest.mark.parametrize("entries", [
+        random_entries(1, 1), random_entries(4, 3000),
+        [(0.0, 1), (1.0, 2 ** 62), (2.0, 2 ** 62 - 1)],
+        [(0.0, 1), (3.0, 10 ** 30), (4.0, 2.0)],
+    ])
+    def test_columns_load_as_the_entry_list(self, tmp_path, entries):
+        rows = load_spectrum(write_entries(tmp_path / "rows.json", entries))
+        cols = load_spectrum(write_entries(tmp_path / "cols.json", entries,
+                                           columns=True))
+        assert cols is not rows
+        for attr in ("_eigs", "_cum"):
+            a, b = getattr(cols, attr), getattr(rows, attr)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert cols.to_json() == rows.to_json()
+
     def test_integral_float_multiplicity_reads_as_int(self, tmp_path):
         X = load_spectrum(write_entries(tmp_path / "s.json",
                                         [(0.0, 1.0), (2.0, 3.0)]))
@@ -286,8 +307,19 @@ class TestArrayLoader:
         assert vars(X).keys() == state
 
 
+def count_calls(monkeypatch, name):
+    """Calls of spectra.<name> from here on, one source path per call."""
+    calls, inner = [], getattr(spectra, name)
+
+    def counted(value, source):
+        calls.append(source)
+        return inner(value, source)
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
 class TestLoadCache:
-    """load_spectrum keeps the spectrum of the last text that parsed."""
+    """load_spectrum keeps the spectrum of the last file bytes that parsed."""
 
     def test_levels_are_read_only(self, tmp_path):
         loaded = load_spectrum(write_entries(tmp_path / "s.json",
@@ -301,7 +333,7 @@ class TestLoadCache:
         entries = random_entries(7, 20)
         first = load_spectrum(write_entries(tmp_path / "a.json", entries))
         assert load_spectrum(str(tmp_path / "a.json")) is first
-        # keyed by the text, not by the path
+        # keyed by the bytes, not by the path
         assert load_spectrum(write_entries(tmp_path / "b.json", entries)) \
             is first
 
@@ -321,6 +353,63 @@ class TestLoadCache:
             with pytest.raises(InvalidArgument,
                                match=r"s.json: entry 1: multiplicity"):
                 load_spectrum(good)
+
+    def test_hit_decodes_and_parses_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectra, "_last_load", None)
+        path = write_entries(tmp_path / "s.json", random_entries(8, 50))
+        first = load_spectrum(path)
+        decodes = count_calls(monkeypatch, "_decode")
+        parses = count_calls(monkeypatch, "spectrum_from_json")
+        assert all(load_spectrum(path) is first for _ in range(3))
+        assert decodes == parses == []
+
+    def test_same_length_rewrite_misses(self, tmp_path):
+        path = tmp_path / "s.json"
+        old = load_spectrum(write_entries(path, [(0.0, 1), (2.0, 3)]))
+        size = path.stat().st_size
+        new = load_spectrum(write_entries(path, [(0.0, 1), (2.0, 7)]))
+        assert path.stat().st_size == size
+        assert new is not old and new.entries == ((0.0, 1), (2.0, 7))
+
+    def test_deleted_file_fails(self, tmp_path):
+        path = tmp_path / "gone.json"
+        load_spectrum(write_entries(path, [(0.0, 1), (2.0, 3)]))
+        path.unlink()
+        for _ in range(2):
+            with pytest.raises(InvalidArgument,
+                               match=r"gone.json: No such file"):
+                load_spectrum(str(path))
+
+    def test_crlf_file_parses_then_hits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectra, "_last_load", None)
+        entries = random_entries(9, 30)
+        lf = load_spectrum(write_entries(tmp_path / "lf.json", entries))
+        path = tmp_path / "crlf.json"
+        doc = json.loads((tmp_path / "lf.json").read_text())
+        path.write_bytes(json.dumps(doc, indent=1).replace("\n", "\r\n")
+                         .encode())
+        crlf = load_spectrum(str(path))
+        assert crlf is not lf and crlf.to_json() == lf.to_json()
+        parses = count_calls(monkeypatch, "spectrum_from_json")
+        assert load_spectrum(str(path)) is crlf
+        assert parses == []
+
+    def test_error_position_counts_universal_newlines(self, tmp_path):
+        path = tmp_path / "cr.json"
+        path.write_bytes(b'{\r  "ambient_dim": 2,\r\n  oops\r}')
+        with pytest.raises(InvalidArgument, match=r"cr.json:3:3: "):
+            load_spectrum(str(path))
+
+    def test_non_utf8_file_fails_on_every_load(self, tmp_path):
+        load_spectrum(write_entries(tmp_path / "good.json", [(0.0, 1)]))
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        message = (f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte")
+        for _ in range(3):
+            with pytest.raises(InvalidArgument) as err:
+                load_spectrum(str(path))
+            assert str(err.value) == message
 
 
 #: One broken rule per case: (entries, bound, message); each names entry 2.
@@ -354,6 +443,36 @@ class TestValidationRules:
         with pytest.raises(InvalidArgument,
                            match=f"rules.json: entry 2: .*{message}"):
             load_spectrum(path)
+
+    @pytest.mark.parametrize("entries, bound, message", BROKEN_ENTRIES)
+    def test_columnar_file_names_entry_and_path(self, tmp_path, entries,
+                                                bound, message):
+        path = write_entries(tmp_path / "cols.json", entries, bound=bound,
+                             columns=True)
+        with pytest.raises(InvalidArgument,
+                           match=f"cols.json: entry 2: .*{message}"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"lambda": [0.0, 1.0, 2.0], "mult": [1, 2]},
+         "entry 2 must have 'lambda' and 'mult'"),
+        ({"lambda": [0.0], "mult": [1, 2, 2]},
+         "entry 1 must have 'lambda' and 'mult'"),
+        ({"lambda": [0.0, "1"], "mult": [1, 2]},
+         "entry 1: 'lambda' must be a finite number"),
+        ({"lambda": [0.0, 1.0], "mult": [1, True]},
+         "entry 1: 'mult' must be a finite number"),
+        ({"lambda": [0.0]}, "columnar 'entries' must hold"),
+        ({"lambda": 0.0, "mult": 1}, "columnar 'entries' must hold"),
+        ({}, "columnar 'entries' must hold"),
+    ])
+    def test_malformed_columns(self, tmp_path, columns, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "measure": 1.0, "truncation_bound": 10.0,
+            "entries": columns}))
+        with pytest.raises(InvalidArgument, match=f"c.json: {message}"):
+            load_spectrum(str(path))
 
     @pytest.mark.parametrize("value", [True, False, None, "2", [2], {"m": 2}])
     def test_file_multiplicity_must_be_a_number(self, tmp_path, value):
