@@ -9,9 +9,17 @@ tensor-product trapezoid quadrature.
 Sampling and the residual sweep the grid in blocks of whole rows of about
 `_BLOCK` points: their time is linear in the number of grid points, and
 besides the grid itself they hold only a few block-sized buffers.
-`convergence_order` holds no grid at all: it samples each row block, with
-one halo row above and below, into a reused buffer and applies the stencil
-there, so it holds a few row-block buffers (under 2 MB) at any resolution.
+
+`convergence_order` holds no grid at all.  Its mode c r^alpha phi(theta) is
+a product, so the stencil applied to the samples is exactly the rank-2
+table a_i g_k + b_i h_k of 1D second differences (`_factored_residual`),
+whose max norm it takes block by block in two reused buffers (under 2 MB
+at any resolution).  Against `laplacian_residual(sample_harmonic(...))`,
+which stays as its full-grid oracle, each residual differs only in its
+rounding: by less than B = eps max|u| (4/dr^2 + 1/(dr r_min) +
+4/(dt r_min)^2), the rounding bound of the stencil.  The check runs on the
+window scaled by a power of two with c = 1, and the order is fitted there,
+so it does not depend on c or on the scale of the window.
 
 A grid needs a positive, finite circle length and a radial window
 0 < r_min < r_max < inf; `convergence_order` also needs an integral mode
@@ -34,7 +42,7 @@ from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
 _BLOCK = 32768  # points per row block: a block and its buffers fit in L2
 #: Points per grid in convergence_order.  The check holds no grid, so this
 #: bounds time, not memory: resolutions [1024, 2048, 4096] take about
-#: 0.3 s on a 2-core x86 host.
+#: 0.07 s on a 2-core x86 host.
 _MAX_POINTS = 2 ** 24
 
 
@@ -134,22 +142,6 @@ def sample_function(f, L: float, r_min: float, r_max: float,
         np.asarray(f(r, theta), dtype=float), (m_r, m_theta)).copy())
 
 
-def _streamed_rows(u: ConeHarmonic, L: float, r_min: float, r_max: float,
-                   m: int):
-    """`rows(i0, i1)` for `_residual`: rows i0 - 1 .. i1 of
-    sample_harmonic(u, L, r_min, r_max, m, m), sampled into one buffer of
-    a row block and two halo rows that every call reuses."""
-    terms = _mode_terms(u, L, np.linspace(r_min, r_max, m)[:, None],
-                        np.arange(m) * L / m)
-    buf, tmp = np.empty((2, min(max(1, _BLOCK // m), m - 2) + 2, m))
-
-    def rows(i0: int, i1: int) -> np.ndarray:
-        size = i1 - i0 + 2
-        return _sample_rows(buf[:size], tmp[:size], float(u.constant_term),
-                            terms, i0 - 1)
-    return rows
-
-
 def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     """(max, rms) norms of the discrete cone Laplacian over interior points.
 
@@ -159,21 +151,12 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     (u+ - u-) / (2 dr) / r, plus the theta term / dt^2 / r^2, one block of
     rows at a time; the theta wrap reads the edge columns.
     """
-    u = grid.values
-    return _residual(lambda i0, i1: u[i0 - 1:i1 + 1], grid.L, grid.r_min,
-                     grid.r_max, grid.m_r, grid.m_theta)
-
-
-def _residual(rows, L: float, r_min: float, r_max: float, m_r: int,
-              m_theta: int) -> tuple[float, float]:
-    """`laplacian_residual` of a function read by rows: for each block
-    [i0, i1) of interior rows in turn, `rows(i0, i1)` returns rows
-    i0 - 1 .. i1 as one C-contiguous (i1 - i0 + 2, m_theta) array."""
+    m_r, m_theta = grid.m_r, grid.m_theta
     if m_r < 3 or m_theta < 3:
         raise InvalidArgument("need at least 3 points in each direction")
-    r = np.linspace(r_min, r_max, m_r)[:, None]
-    dr = (r_max - r_min) / (m_r - 1)
-    dt = L / m_theta
+    r = grid.r_nodes[:, None]
+    dr = (grid.r_max - grid.r_min) / (m_r - 1)
+    dt = grid.L / m_theta
     # numpy scalars: a square past the float range is inf, not OverflowError
     dr2, two_dr, dt2 = np.float64(dr) ** 2, 2.0 * dr, np.float64(dt) ** 2
 
@@ -182,7 +165,7 @@ def _residual(rows, L: float, r_min: float, r_max: float, m_r: int,
     two_u, res, tmp = np.empty((3, size, m_theta))
     peak, sum_sq = 0.0, 0.0
     for i0, i1 in blocks:
-        u = rows(i0, i1)
+        u = grid.values[i0 - 1:i1 + 1]
         mid, up, down = u[1:-1], u[2:], u[:-2]
         ri = r[i0:i1]
         two, out, t = two_u[:i1 - i0], res[:i1 - i0], tmp[:i1 - i0]
@@ -210,6 +193,71 @@ def _residual(rows, L: float, r_min: float, r_max: float, m_r: int,
     return float(peak), math.sqrt(sum_sq / ((m_r - 2) * m_theta))
 
 
+def _factored_residual(alpha: float, mode_id: int, L: float, r_min: float,
+                       r_max: float, m: int) -> float:
+    """Max norm of the discrete cone Laplacian of r^alpha phi over the
+    interior points of the m x m annulus grid, from 1D factors.
+
+    The samples are f_i g_k, with f = r^alpha on the radial nodes and g the
+    eigenfunction row, so the stencil of `laplacian_residual` is exactly
+    a_i g_k + b_i h_k, with a = ((f+ - 2f) + f-) / dr^2 + (f+ - f-) / (2 dr)
+    / r and b = f / r / r on the interior rows and h = ((g+ - 2g) + g-) /
+    dt^2, periodic.  The max is taken one block of rows at a time in two
+    reused buffers.
+    """
+    r = np.linspace(r_min, r_max, m)
+    f = r ** alpha
+    dr = (r_max - r_min) / (m - 1)
+    dt2 = np.float64(L / m) ** 2
+    mid, up, down, ri = f[1:-1], f[2:], f[:-2], r[1:-1]
+    a = ((up - 2.0 * mid) + down) / np.float64(dr) ** 2 \
+        + (up - down) / (2.0 * dr) / ri
+    b = mid / ri / ri
+    g = circle_eigenfunction(L, mode_id, np.arange(m) * L / m)
+    h = ((np.roll(g, -1) - 2.0 * g) + np.roll(g, 1)) / dt2
+
+    blocks = _row_blocks(0, m - 2, m)
+    out, tmp = np.empty((2, blocks[0][1] - blocks[0][0], m))
+    peak = 0.0
+    for i0, i1 in blocks:
+        o, t = out[:i1 - i0], tmp[:i1 - i0]
+        np.multiply(a[i0:i1, None], g, out=o)
+        np.multiply(b[i0:i1, None], h, out=t)
+        o += t
+        peak = np.maximum(peak, np.abs(o, out=o).max())
+    return float(peak)
+
+
+def _unit_window(alpha: float, r_min: float, r_max: float
+                 ) -> tuple[float, float, float]:
+    """(b, r_min / b, r_max / b): the scale b of the window for the unit
+    check.  b is the power of two at or below r_max, so the scaled nodes
+    are the grid's nodes exactly, while (r_max / b)^alpha stays in the
+    float range (alpha up to about 500); past that, b = r_max."""
+    b = math.ldexp(1.0, math.frexp(r_max)[1] - 1)
+    if alpha * math.log2(r_max / b) < 500.0:
+        return b, r_min / b, r_max / b
+    return r_max, r_min / r_max, 1.0
+
+
+def _rescaled(x: float, c: float, alpha: float, scale: float) -> float:
+    """x |c| scale^(alpha - 2), rounded about once: the power of two is
+    split exactly, in integers, into whole and fractional parts of
+    (alpha - 2) log2(scale), the rest comes from the mantissas of x and c,
+    so no intermediate leaves the float range; inf past it, and subnormal
+    or 0 below it."""
+    (p, q), (pe, qe) = float(alpha).as_integer_ratio(), \
+        math.log2(scale).as_integer_ratio()
+    num, den = (p - 2 * q) * pe, q * qe
+    n = num // den
+    (mx, ex), (mc, ec) = math.frexp(x), math.frexp(abs(c))
+    try:
+        return math.ldexp(mx * mc * 2.0 ** ((num - n * den) / den),
+                          n + ex + ec)
+    except OverflowError:
+        return math.inf
+
+
 def convergence_order(mode: tuple[float, float, float], L: float,
                       window: tuple[float, float],
                       resolutions: Sequence[int]) -> tuple[float, list[float]]:
@@ -219,6 +267,12 @@ def convergence_order(mode: tuple[float, float, float], L: float,
     coefficient c; each resolution m >= 3 is used for both grid directions.
     Returns (least-squares slope of log residual vs log h, residual max
     norms).  Exact cone harmonics give a slope near 2.
+
+    The residual of c r^alpha phi on [r_min, r_max] is |c| b^(alpha - 2)
+    times that of r^alpha phi on [r_min / b, r_max / b] (see `_unit_window`
+    for b).  The slope is fitted on those unit residuals, so it does not
+    depend on c or on the scale of the window; the reported residuals are
+    the unit ones times |c| b^(alpha - 2) (see `_rescaled`).
     """
     if len(resolutions) < 3:
         raise InvalidArgument("need at least 3 resolutions")
@@ -236,21 +290,24 @@ def convergence_order(mode: tuple[float, float, float], L: float,
         raise InvalidArgument(f"mode number must be an integer >= 1, got {j}")
     if c == 0.0:
         raise InvalidArgument("mode coefficient must be nonzero")
-    # c r^alpha times the cos eigenfunction of mode number j (id 2j - 1)
-    u = ConeHarmonic(2, (Mode(alpha, c, 2 * int(j) - 1),))
+    # c r^alpha times the cos eigenfunction of mode number j
+    mode_id = 2 * int(j) - 1
+    ConeHarmonic(2, (Mode(alpha, c, mode_id),))  # checks alpha and c
     r_min, r_max = window
     _check_annulus(L, r_min, r_max)
-    residuals = [_residual(_streamed_rows(u, L, r_min, r_max, m),
-                           L, r_min, r_max, m, m)[0] for m in resolutions]
+    scale, lo, hi = _unit_window(alpha, r_min, r_max)
+    unit = [_factored_residual(alpha, mode_id, L, lo, hi, m)
+            for m in resolutions]
+    residuals = [_rescaled(x, c, alpha, scale) for x in unit]
     if not all(map(math.isfinite, residuals)):
         raise NumericFailure(
             f"residual max norms {residuals} are not finite: the mode "
             "leaves the float range on the grid")
-    if any(b >= a for a, b in zip(residuals, residuals[1:])):
+    if any(b >= a for a, b in zip(unit, unit[1:])):
         warnings.warn(
             f"non-monotone residuals {residuals}; order fit may be unreliable")
     logh = np.log(1.0 / np.asarray(resolutions, dtype=float))
-    order = float(np.polyfit(logh, np.log(residuals), 1)[0])
+    order = float(np.polyfit(logh, np.log(unit), 1)[0])
     return order, residuals
 
 

@@ -204,15 +204,9 @@ def cesaro_limit(X: CrossSection, n: int) -> float:
 
 
 def _cesaro_offset(X: CrossSection, k: float) -> float:
-    """A fixed non-resonant sampling offset: half the minimal resonance gap,
-    capped at 0.25."""
-    gap, prev = math.inf, np.empty(0)
-    for betas, _ in X.resonance_blocks(max(k, 1.0)):
-        run = np.concatenate((prev, betas))
-        steps = np.diff(run)
-        gap = min(gap, float(steps[steps > 0].min(initial=math.inf)))
-        prev = run[-1:]
-    return min(0.25, gap / 2.0)
+    """A fixed non-resonant sampling offset: half the minimal resonance gap
+    up to k, capped at 0.25."""
+    return min(0.25, X.exponent_gap(max(k, 1.0)) / 2.0)
 
 
 def _exact_sum(counts: np.ndarray) -> int:

@@ -265,6 +265,18 @@ class CrossSection:
             keep = betas <= beta_max
             yield betas[keep], lams[keep]
 
+    def exponent_gap(self, beta_max: float) -> float:
+        """A lower bound on the gap between two distinct resonant exponents
+        in [0, beta_max]: the smallest such gap, walked block by block (inf
+        for fewer than two), unless a subclass knows it in closed form."""
+        gap, prev = math.inf, np.empty(0)
+        for betas, _ in self.resonance_blocks(beta_max):
+            run = np.concatenate((prev, betas))
+            steps = np.diff(run)
+            gap = min(gap, float(steps[steps > 0].min(initial=math.inf)))
+            prev = run[-1:]
+        return gap
+
     def resonant_set_upto(self, beta_max: float
                           ) -> tuple[np.ndarray, np.ndarray]:
         """(exponents, eigenvalues): every beta in [0, beta_max] with
@@ -373,6 +385,9 @@ class RoundSphere(CrossSection):
         root = np.sqrt(d1 * d1 + 4.0 * np.maximum(lam, 0.0))
         return self._settle(np.floor((root - d1) / 2.0), lam)
 
+    def exponent_gap(self, beta_max: float) -> float:
+        return 1.0  # level l has exponent l
+
     def max_levels(self) -> int:
         return min(_MAX_LEVELS, _MAX_SPHERE_TABLE_WORK // self.d)
 
@@ -412,6 +427,9 @@ class Circle(CrossSection):
 
     def level_count(self, j):
         return np.maximum(2 * j + 1, 0)
+
+    def exponent_gap(self, beta_max: float) -> float:
+        return 2.0 * math.pi / self.length  # level j has exponent 2*pi*j/L
 
     def level_lookup(self, lam):
         guess = self.length * np.sqrt(np.maximum(lam, 0.0)) / (2.0 * math.pi)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -424,6 +425,36 @@ class TestExitCodes:
         assert doc["schema"] == "coneh/1"
         assert doc["error"]["type"] == "NumericFailure"
         assert doc["error"]["exit_code"] == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize("argv, unscaled", [
+        # a true harmonic with a subnormal coefficient: the order is that of
+        # c = 1, though the residuals underflow
+        (["--mode", "1", "1", "1e-320"], ["--mode", "1", "1", "1"]),
+        # a window far below 1: the order is that of the window times 1e299
+        (["--mode", "1", "1", "1", "--window", "1e-300", "1e-299"],
+         ["--mode", "1", "1", "1", "--window", "0.1", "1"]),
+    ])
+    def test_verify_grid_is_scale_free(self, capsys, argv, unscaled):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "verify-grid", *argv)
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert code == EXIT_OK and doc["order_in_contract"]
+        assert 1.8 <= doc["fitted_order"] <= 2.2
+        assert all(map(math.isfinite, doc["residual_max_norms"]))
+        want = run_json(capsys, "verify-grid", *unscaled)[1]["fitted_order"]
+        assert doc["fitted_order"] == pytest.approx(want, abs=1e-9)
+
+    def test_verify_grid_mode_below_the_float_range(self, capsys):
+        # r^1e308 underflows on [0.1, 0.5]: the residuals read 0, and the
+        # order is fitted on the window scaled to end at 1, not on log 0
+        with pytest.warns(UserWarning, match="non-monotone"):
+            code, out = run(capsys, "verify-grid", "--mode", "1e308", "1",
+                            "1", "--window", "0.1", "0.5")
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert code == EXIT_VERIFICATION and not doc["order_in_contract"]
+        assert doc["residual_max_norms"] == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("kind", [
         "missing", "directory", "utf16", "deep", "digits"])

@@ -14,11 +14,40 @@ from coneh import gridcheck, harmonics
 from . import oracles
 
 TWO_PI = 2.0 * math.pi
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def harmonic_pair(L=TWO_PI):
     return ConeHarmonic(2, (circle_mode(L, 1, "cos", 1.0),
                             circle_mode(L, 2, "sin", 0.5)))
+
+
+def rounding_bound(u_max, L, r_min, r_max, m):
+    """B = eps max|u| (4 / dr^2 + 1 / (dr r_min) + 4 / (dt r_min)^2): the
+    rounding of the m x m stencil, in long double so no term overflows."""
+    dr = np.longdouble(r_max - r_min) / (m - 1)
+    dt, r_min = np.longdouble(L) / m, np.longdouble(r_min)
+    return (np.finfo(float).eps * np.longdouble(u_max)
+            * (4 / dr ** 2 + 1 / (dr * r_min) + 4 / (dt * r_min) ** 2))
+
+
+def long_double_stencil(alpha, j, c, L, r_min, r_max, m):
+    """(max |c (a (x) g + b (x) h)|, max |c f (x) g|) over the interior of
+    the m x m grid, with f = r^alpha, a, b and h of the factored check
+    evaluated in long double on the grid's float nodes and row g."""
+    ld = np.longdouble
+    r = np.linspace(r_min, r_max, m).astype(ld)
+    f = r ** ld(alpha)
+    dr, dt = ld((r_max - r_min) / (m - 1)), ld(L / m)
+    a = ((f[2:] - 2 * f[1:-1]) + f[:-2]) / dr ** 2 \
+        + (f[2:] - f[:-2]) / (2 * dr) / r[1:-1]
+    b = f[1:-1] / r[1:-1] ** 2
+    # the grid's own eigenfunction row: its float rounding is the sweep's
+    g = harmonics.circle_eigenfunction(L, 2 * j - 1,
+                                       np.arange(m) * L / m).astype(ld)
+    h = ((np.roll(g, -1) - 2 * g) + np.roll(g, 1)) / dt ** 2
+    res = np.abs(ld(c) * (np.outer(a, g) + np.outer(b, h))).max()
+    return res, np.abs(ld(c) * np.outer(f, g)).max()
 
 
 class TestConeGrid:
@@ -140,19 +169,53 @@ class TestRowBlocks:
     @given(st.floats(0.05, 20.0), st.integers(1, 6),
            st.floats(0.1, 5.0), st.booleans(), st.floats(0.1, 20.0),
            st.floats(1e-3, 2.0), st.floats(1e-3, 5.0), st.integers(3, 40))
-    def test_streamed_check_matches_sampled_grid(self, alpha, j, c, flip, L,
+    def test_factored_check_matches_sampled_grid(self, alpha, j, c, flip, L,
                                                  r_min, width, m0):
         c = -c if flip else c
         window, resolutions = (r_min, r_min + width), [m0, 2 * m0, 4 * m0]
         u = ConeHarmonic(2, (Mode(alpha, c, 2 * j - 1),))
-        want = [gridcheck.laplacian_residual(
-            gridcheck.sample_harmonic(u, L, *window, m, m))[0].hex()
-            for m in resolutions]
+        grids = [gridcheck.sample_harmonic(u, L, *window, m, m)
+                 for m in resolutions]
+        want = [gridcheck.laplacian_residual(g)[0] for g in grids]
+        bounds = [rounding_bound(np.abs(g.values).max(), L, *window, m)
+                  for g, m in zip(grids, resolutions)]
         for block in BLOCKS:
             with mock.patch.object(gridcheck, "_BLOCK", block(2 * m0, 2 * m0)):
                 _, got = gridcheck.convergence_order((alpha, j, c), L, window,
                                                      resolutions)
-            assert [g.hex() for g in got] == want
+            for g, w, bound in zip(got, want, bounds):
+                assert abs(g - w) <= 4.0 * bound
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="long double is double on this platform")
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    # r^alpha past the long double range, where the check must fail too
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 20.0), st.integers(1, 6),
+           st.floats(0.1, 5.0), st.floats(0.1, 20.0), st.floats(1e-3, 2.0),
+           st.floats(1e-3, 5.0), st.integers(3, 40), st.integers(-300, 300))
+    def test_factored_check_matches_long_double_stencil(
+            self, alpha, j, c, L, r_min, width, m0, exp10):
+        # windows from 1e-300 to 1e300: the check runs on a rescaled window,
+        # and its reported residuals must be the stencil's on this one
+        window = (r_min * 10.0 ** exp10, (r_min + width) * 10.0 ** exp10)
+        resolutions = [m0, 2 * m0, 4 * m0]
+        stencils = [long_double_stencil(alpha, j, c, L, *window, m)
+                    for m in resolutions]
+        if not all(math.isfinite(float(want)) for want, _ in stencils):
+            with pytest.raises(NumericFailure, match="not finite"):
+                gridcheck.convergence_order((alpha, j, c), L, window,
+                                            resolutions)
+            return
+        _, got = gridcheck.convergence_order((alpha, j, c), L, window,
+                                             resolutions)
+        for g, m, (want, u_max) in zip(got, resolutions, stencils):
+            if want < TINY:  # below the normal range: it underflows too
+                assert g < TINY
+                continue
+            bound = rounding_bound(u_max, L, *window, m)
+            assert abs(np.longdouble(g) - want) <= 4 * bound
 
     def test_convergence_order_holds_no_grid(self):
         tracemalloc.start()

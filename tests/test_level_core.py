@@ -17,6 +17,7 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
                    ResolutionInsufficient, RoundSphere,
                    eigenvalue_from_exponent, exponent_from_eigenvalue, growth,
                    hk_staircase, spectra)
+from coneh.eigensolver import MetricCircle
 
 TWO_PI = 2.0 * math.pi
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
@@ -224,6 +225,19 @@ def test_cesaro_offset_sees_gap_across_block_boundary(monkeypatch):
                          [1 if b == 0 else 2 for b in exps], 1100.0 ** 2, TWO_PI)
     monkeypatch.setattr(spectra, "LEVEL_BLOCK", 1000)
     assert growth._cesaro_offset(X, 1050.0) == pytest.approx(0.05, rel=1e-9)
+
+
+# the circles 2*pi*p/q (q <= 12) and spheres of growth-sweep, at its orders
+@pytest.mark.parametrize("X", [
+    *(Circle(TWO_PI * p / q) for q, p in [(1, 1), (2, 1), (3, 2), (7, 3),
+                                          (11, 10), (12, 1), (12, 7)]),
+    *(RoundSphere(d) for d in range(1, 6)),
+    # a metric circle is counted as the round circle of its length
+    spectra.MetricCircleNumeric(MetricCircle((1.0, 0.3, 2.0, 0.7)))], ids=repr)
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.5, 40.0, 1999.7, 99_500.3, 999_500.3])
+def test_closed_form_cesaro_offset_matches_the_walk(X, k):
+    walked = min(0.25, spectra.CrossSection.exponent_gap(X, max(k, 1.0)) / 2.0)
+    assert growth._cesaro_offset(X, k) == walked
 
 
 def test_counts_past_int64_stay_exact():
