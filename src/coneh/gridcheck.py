@@ -12,14 +12,18 @@ besides the grid itself they hold only a few block-sized buffers.
 
 `convergence_order` holds no grid at all.  Its mode c r^alpha phi(theta) is
 a product, so the stencil applied to the samples is exactly the rank-2
-table a_i g_k + b_i h_k of 1D second differences (`_factored_residual`),
-whose max norm it takes block by block in two reused buffers (under 2 MB
-at any resolution).  Against `laplacian_residual(sample_harmonic(...))`,
-which stays as its full-grid oracle, each residual differs only in its
-rounding: by less than B = eps max|u| (4/dr^2 + 1/(dr r_min) +
-4/(dt r_min)^2), the rounding bound of the stencil.  The check runs on the
-window scaled by a power of two with c = 1, and the order is fitted there,
-so it does not depend on c or on the scale of the window.
+table a_i g_k + b_i h_k of 1D second differences (`_factored_residual`).
+phi is the cos row, an eigenvector of the periodic second difference, so
+every column of the table is column 0 times a cosine of the node, and the
+table's max norm is column 0's: each residual costs O(m), not O(m^2).
+Against `laplacian_residual(sample_harmonic(...))`, which stays as its
+full-grid oracle, each residual differs only in its rounding: by a small
+multiple of B = eps max|u| (4/dr^2 + 1/(dr r_min) + 4/(dt r_min)^2), the
+rounding bound of the stencil.  The check samples the row at the integer
+phases (j k mod m) / m, the oracle at the nodes k L / m, whose phase
+2 pi j k / m loses accuracy as j grows.  The check runs on the window
+scaled by a power of two with c = 1, and the order is fitted there, so it
+does not depend on c or on the scale of the window.
 
 A grid needs a positive, finite circle length and a radial window
 0 < r_min < r_max < inf; `convergence_order` also needs an integral mode
@@ -40,9 +44,10 @@ from .errors import InvalidArgument, NumericFailure
 from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
 
 _BLOCK = 32768  # points per row block: a block and its buffers fit in L2
-#: Points per grid in convergence_order.  The check holds no grid, so this
-#: bounds time, not memory: resolutions [1024, 2048, 4096] take about
-#: 0.07 s on a 2-core x86 host.
+#: Points of the largest grid that a convergence_order verdict stands for.
+#: The check itself reads one column of the stencil, in O(m) time and
+#: memory (resolutions [1024, 2048, 4096] take about 0.3 ms on a 2-core
+#: x86 host), so this bounds the grid, not the check's cost.
 _MAX_POINTS = 2 ** 24
 
 
@@ -196,36 +201,34 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
 def _factored_residual(alpha: float, mode_id: int, L: float, r_min: float,
                        r_max: float, m: int) -> float:
     """Max norm of the discrete cone Laplacian of r^alpha phi over the
-    interior points of the m x m annulus grid, from 1D factors.
+    interior points of the m x m annulus grid, from one column of its
+    stencil.
 
     The samples are f_i g_k, with f = r^alpha on the radial nodes and g the
-    eigenfunction row, so the stencil of `laplacian_residual` is exactly
-    a_i g_k + b_i h_k, with a = ((f+ - 2f) + f-) / dr^2 + (f+ - f-) / (2 dr)
-    / r and b = f / r / r on the interior rows and h = ((g+ - 2g) + g-) /
-    dt^2, periodic.  The max is taken one block of rows at a time in two
-    reused buffers.
+    cos row sqrt(2/L) cos(2 pi j k / m), so the stencil of
+    `laplacian_residual` is exactly the table a_i g_k + b_i h_k, with
+    a = ((f+ - 2f) + f-) / dr^2 + (f+ - f-) / (2 dr) / r and b = f / r / r
+    on the interior rows and h = ((g+ - 2g) + g-) / dt^2, periodic.  The
+    cos row is an eigenvector of that periodic second difference, h = mu g,
+    so column k is column 0 times cos(2 pi j k / m), and |cos| <= 1 =
+    cos 0: the table's max is column 0's, max |a_i g_0 + b_i h_0|, with h_0
+    from the three samples g_1, g_0 and g_(m-1).  They are taken at the
+    integer phases (j k mod m) / m, so no node k L / m overflows and a
+    large j is sampled as accurately as j mod m; h_0 is divided by dt
+    twice, so dt^2 past the float range raises nothing.
     """
     r = np.linspace(r_min, r_max, m)
     f = r ** alpha
     dr = (r_max - r_min) / (m - 1)
-    dt2 = np.float64(L / m) ** 2
     mid, up, down, ri = f[1:-1], f[2:], f[:-2], r[1:-1]
     a = ((up - 2.0 * mid) + down) / np.float64(dr) ** 2 \
         + (up - down) / (2.0 * dr) / ri
     b = mid / ri / ri
-    g = circle_eigenfunction(L, mode_id, np.arange(m) * L / m)
-    h = ((np.roll(g, -1) - 2.0 * g) + np.roll(g, 1)) / dt2
-
-    blocks = _row_blocks(0, m - 2, m)
-    out, tmp = np.empty((2, blocks[0][1] - blocks[0][0], m))
-    peak = 0.0
-    for i0, i1 in blocks:
-        o, t = out[:i1 - i0], tmp[:i1 - i0]
-        np.multiply(a[i0:i1, None], g, out=o)
-        np.multiply(b[i0:i1, None], h, out=t)
-        o += t
-        peak = np.maximum(peak, np.abs(o, out=o).max())
-    return float(peak)
+    j, dt = (mode_id + 1) // 2, L / m
+    phases = np.array([0, j % m, -j % m]) / m
+    g0, g1, g_1 = math.sqrt(2.0 / L) * np.cos(2.0 * math.pi * phases)
+    h0 = ((g1 - 2.0 * g0) + g_1) / dt / dt
+    return float(np.abs(a * g0 + b * h0).max())
 
 
 def _unit_window(alpha: float, r_min: float, r_max: float

@@ -106,3 +106,25 @@ def laplacian_residual(grid):
     ri = r[1:-1, :]
     res = u_rr + u_r / ri + u_tt / ri ** 2
     return float(np.max(np.abs(res))), float(np.sqrt(np.mean(res ** 2)))
+
+
+def factored_table_max(alpha, mode_id, L, r_min, r_max, m):
+    """max |a_i g_k + b_i h_k| over the whole (m - 2) x m table of the
+    factored stencil of r^alpha phi (reference for
+    gridcheck._factored_residual, which reads one column of it).
+
+    a = ((f+ - 2f) + f-) / dr^2 + (f+ - f-) / (2 dr) / r and b = f / r / r
+    on the interior radial nodes, g the cos row of mode_id sampled at the
+    integer phases (j k mod m) / m, h = ((g+ - 2g) + g-) / dt^2, periodic.
+    """
+    r = np.linspace(r_min, r_max, m)
+    f = r ** alpha
+    dr, dt = (r_max - r_min) / (m - 1), L / m
+    a = ((f[2:] - 2.0 * f[1:-1]) + f[:-2]) / dr ** 2 \
+        + (f[2:] - f[:-2]) / (2.0 * dr) / r[1:-1]
+    b = f[1:-1] / r[1:-1] / r[1:-1]
+    j = (mode_id + 1) // 2
+    g = math.sqrt(2.0 / L) * np.cos(
+        2.0 * math.pi * (j * np.arange(m) % m) / m)
+    h = ((np.roll(g, -1) - 2.0 * g) + np.roll(g, 1)) / dt / dt
+    return float(np.abs(np.outer(a, g) + np.outer(b, h)).max())

@@ -407,8 +407,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["verify-grid", "--mode", "1e308", "1", "1"],
         ["frequency", "--harmonic", "HUGE", "--s", "1", "10"],
-        ["verify-grid", "--mode", "1", "1", "1", "--length", "1e308",
-         "--resolutions", "4", "8", "16"],
     ])
     def test_numeric_failure_past_the_float_range(self, capsys, tmp_path,
                                                   argv):
@@ -445,6 +443,24 @@ class TestExitCodes:
         assert all(map(math.isfinite, doc["residual_max_norms"]))
         want = run_json(capsys, "verify-grid", *unscaled)[1]["fitted_order"]
         assert doc["fitted_order"] == pytest.approx(want, abs=1e-9)
+
+    def test_verify_grid_length_past_the_float_range(self, capsys):
+        # (2 pi / L)^2 underflows to 0, so r phi is not harmonic on this
+        # cone: a finite verdict, with no numpy warning on the way.  The
+        # residual is about g_0 / r at the node next to r_min, so it grows
+        # with m, and the non-monotone warning is the only one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(capsys, "verify-grid", "--mode", "1", "1", "1",
+                            "--length", "1e308", "--resolutions", "4", "8",
+                            "16")
+        assert [w.category for w in caught] == [UserWarning]
+        assert "non-monotone" in str(caught[0].message)
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert code == EXIT_VERIFICATION and not doc["order_in_contract"]
+        assert all(map(math.isfinite, doc["residual_max_norms"]))
+        assert math.isfinite(doc["fitted_order"])
 
     def test_verify_grid_mode_below_the_float_range(self, capsys):
         # r^1e308 underflows on [0.1, 0.5]: the residuals read 0, and the

@@ -42,9 +42,9 @@ def long_double_stencil(alpha, j, c, L, r_min, r_max, m):
     a = ((f[2:] - 2 * f[1:-1]) + f[:-2]) / dr ** 2 \
         + (f[2:] - f[:-2]) / (2 * dr) / r[1:-1]
     b = f[1:-1] / r[1:-1] ** 2
-    # the grid's own eigenfunction row: its float rounding is the sweep's
-    g = harmonics.circle_eigenfunction(L, 2 * j - 1,
-                                       np.arange(m) * L / m).astype(ld)
+    # the cos row at the integer phases (j k mod m) / m, in long double
+    g = np.sqrt(2 / ld(L)) * np.cos(
+        2 * np.pi * ld(j * np.arange(m) % m) / m)
     h = ((np.roll(g, -1) - 2 * g) + np.roll(g, 1)) / dt ** 2
     res = np.abs(ld(c) * (np.outer(a, g) + np.outer(b, h))).max()
     return res, np.abs(ld(c) * np.outer(f, g)).max()
@@ -179,12 +179,10 @@ class TestRowBlocks:
         want = [gridcheck.laplacian_residual(g)[0] for g in grids]
         bounds = [rounding_bound(np.abs(g.values).max(), L, *window, m)
                   for g, m in zip(grids, resolutions)]
-        for block in BLOCKS:
-            with mock.patch.object(gridcheck, "_BLOCK", block(2 * m0, 2 * m0)):
-                _, got = gridcheck.convergence_order((alpha, j, c), L, window,
-                                                     resolutions)
-            for g, w, bound in zip(got, want, bounds):
-                assert abs(g - w) <= 4.0 * bound
+        _, got = gridcheck.convergence_order((alpha, j, c), L, window,
+                                             resolutions)
+        for g, w, bound in zip(got, want, bounds):
+            assert abs(g - w) <= 4.0 * bound
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="long double is double on this platform")
@@ -216,6 +214,37 @@ class TestRowBlocks:
                 continue
             bound = rounding_bound(u_max, L, *window, m)
             assert abs(np.longdouble(g) - want) <= 4 * bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(3, 64), st.floats(0.05, 20.0),
+           st.floats(0.1, 20.0), st.floats(1e-3, 2.0), st.floats(1e-3, 5.0))
+    def test_column_residual_matches_table_oracle(self, data, m, alpha, L,
+                                                  r_min, width):
+        # any j up to 3m, rows constant (j = 0 mod m) and alternating
+        # (2j = m) among them
+        j = data.draw(st.one_of(st.integers(1, 3 * m), st.sampled_from(
+            [m, 2 * m, 3 * m] + [m // 2] * (m % 2 == 0))))
+        window = (r_min, r_min + width)
+        got = gridcheck._factored_residual(alpha, 2 * j - 1, L, *window, m)
+        want = oracles.factored_table_max(alpha, 2 * j - 1, L, *window, m)
+        u_max = np.abs(np.linspace(*window, m) ** alpha).max() \
+            * math.sqrt(2.0 / L)
+        assert abs(got - want) <= rounding_bound(u_max, L, *window, m)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("m0", [3, 4, 64])
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_mode_numbers_a_period_apart_give_equal_residuals(self, m0, j):
+        # a shift by a multiple of every resolution leaves each sampled
+        # phase (j k mod m) / m, and so each residual, bitwise the same
+        resolutions = [m0, 2 * m0, 4 * m0]
+        want = gridcheck.convergence_order((1.5, j, 0.7), 2.5, (0.3, 1.7),
+                                           resolutions)
+        for shift in (4 * m0, 4 * m0 * 2 ** 40):
+            got = gridcheck.convergence_order((1.5, j + shift, 0.7), 2.5,
+                                              (0.3, 1.7), resolutions)
+            assert [x.hex() for x in got[1]] == [x.hex() for x in want[1]]
+            assert got[0] == want[0]
 
     def test_convergence_order_holds_no_grid(self):
         tracemalloc.start()
