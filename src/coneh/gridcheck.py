@@ -6,21 +6,17 @@ is singular there), the cone Laplacian u_rr + u_r / r + u_tt / r^2 is
 applied by centered differences, and ball averages are recomputed by
 tensor-product trapezoid quadrature.
 
-Sampling and the residual sweep the grid in blocks of whole rows of about
-`_BLOCK` points: their time is linear in the number of grid points, and
-besides the grid itself they hold only a few block-sized buffers.
-
-`convergence_order` holds no grid at all.  Its mode c r^alpha phi(theta) is
-a product, so the stencil applied to the samples is exactly the rank-2
-table a_i g_k + b_i h_k of 1D second differences (`_factored_residual`).
-phi is the cos row, an eigenvector of the periodic second difference, so
-every column of the table is column 0 times a cosine of the node, and the
-table's max norm is column 0's: each residual costs O(m), not O(m^2).
-Against `laplacian_residual(sample_harmonic(...))`, which stays as its
-full-grid oracle, each residual differs only in its rounding: by a small
-multiple of B = eps max|u| (4/dr^2 + 1/(dr r_min) + 4/(dt r_min)^2), the
-rounding bound of the stencil.  The check samples the row at the integer
-phases (j k mod m) / m, the oracle at the nodes k L / m, whose phase
+`sample_harmonic` and `laplacian_residual` are the plain full-grid
+reference of `convergence_order`, which holds no grid at all.  Its mode
+c r^alpha phi(theta) is a product, so the stencil applied to the samples is
+exactly the rank-2 table a_i g_k + b_i h_k of 1D second differences
+(`_factored_residual`).  phi is the cos row, an eigenvector of the periodic
+second difference, so every column of the table is column 0 times a cosine
+of the node, and the table's max norm is column 0's: each residual costs
+O(m), not O(m^2), and differs from the reference's only in its rounding,
+by a small multiple of B = eps max|u| (4/dr^2 + 1/(dr r_min) +
+4/(dt r_min)^2).  The check samples the row at the integer phases
+(j k mod m) / m, the reference at the nodes k L / m, whose phase
 2 pi j k / m loses accuracy as j grows.  The check runs on the window
 scaled by a power of two with c = 1, and the order is fitted there, so it
 does not depend on c or on the scale of the window.
@@ -41,20 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .harmonics import ConeHarmonic, Mode, circle_eigenfunction
+from .harmonics import ConeHarmonic, Mode, circle_mode_sum
 
-_BLOCK = 32768  # points per row block: a block and its buffers fit in L2
 #: Points of the largest grid that a convergence_order verdict stands for.
 #: The check itself reads one column of the stencil, in O(m) time and
 #: memory (resolutions [1024, 2048, 4096] take about 0.3 ms on a 2-core
 #: x86 host), so this bounds the grid, not the check's cost.
 _MAX_POINTS = 2 ** 24
-
-
-def _row_blocks(start: int, stop: int, m_theta: int) -> list[tuple[int, int]]:
-    """Bounds (i0, i1) of consecutive blocks of rows covering [start, stop)."""
-    step = max(1, _BLOCK // m_theta)
-    return [(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 def _check_annulus(L: float, r_min: float, r_max: float):
@@ -102,49 +91,19 @@ class ConeGrid:
         return np.arange(self.m_theta) * self.L / self.m_theta
 
 
-def _mode_terms(u: ConeHarmonic, L: float, r: np.ndarray,
-                theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(radial column c r^alpha, theta row phi) of each active mode, in order."""
-    return [(m.c * r ** m.alpha, circle_eigenfunction(L, m.mode_id, theta))
-            for m in u.modes if m.c != 0.0 and m.mode_id != 0]
-
-
-def _sample_rows(out: np.ndarray, tmp: np.ndarray, constant: float,
-                 terms, i0: int) -> np.ndarray:
-    """Fill `out` with rows i0, i0 + 1, ... of a harmonic: the constant,
-    then col * row of each mode in order, so a sample does not depend on
-    the blocking.  `tmp` is scratch of the shape of `out`."""
-    out.fill(constant)
-    for col, row in terms:
-        out += np.multiply(col[i0:i0 + len(out)], row, out=tmp)
-    return out
-
-
 def sample_harmonic(u: ConeHarmonic, L: float, r_min: float, r_max: float,
                     m_r: int, m_theta: int) -> ConeGrid:
-    """Sample a circle-cone harmonic on the annulus grid.
-
-    Each mode is a radial column c r^alpha times a theta row phi(theta);
-    the modes are added to the constant term in order, one row block at a
-    time, into the grid's own array.
-    """
-    grid = ConeGrid(L, r_min, r_max, np.empty((m_r, m_theta)))
-    terms = _mode_terms(u, L, grid.r_nodes[:, None], grid.theta_nodes)
-    blocks = _row_blocks(0, m_r, m_theta)
-    tmp = np.empty((blocks[0][1] - blocks[0][0], m_theta))
-    for i0, i1 in blocks:
-        _sample_rows(grid.values[i0:i1], tmp[:i1 - i0],
-                     float(u.constant_term), terms, i0)
-    return grid
+    """Sample a circle-cone harmonic (`circle_mode_sum`) on the grid."""
+    return sample_function(lambda r, theta: circle_mode_sum(u, L, theta, r),
+                           L, r_min, r_max, m_r, m_theta)
 
 
 def sample_function(f, L: float, r_min: float, r_max: float,
                     m_r: int, m_theta: int) -> ConeGrid:
     """Sample an arbitrary f(r, theta) (broadcastable over numpy arrays)."""
-    r = np.linspace(r_min, r_max, m_r)[:, None]
-    theta = (np.arange(m_theta) * L / m_theta)[None, :]
-    return ConeGrid(L, r_min, r_max, np.broadcast_to(
-        np.asarray(f(r, theta), dtype=float), (m_r, m_theta)).copy())
+    grid = ConeGrid(L, r_min, r_max, np.empty((m_r, m_theta)))
+    grid.values[...] = f(grid.r_nodes[:, None], grid.theta_nodes)
+    return grid
 
 
 def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
@@ -153,49 +112,21 @@ def laplacian_residual(grid: ConeGrid) -> tuple[float, float]:
     Centered second-order differences in r and theta, periodic in theta;
     for an exact cone harmonic the residual is pure O(h^2) truncation.
     Each point is evaluated as ((u+ - 2u) + u-) / dr^2, plus
-    (u+ - u-) / (2 dr) / r, plus the theta term / dt^2 / r^2, one block of
-    rows at a time; the theta wrap reads the edge columns.
+    (u+ - u-) / (2 dr) / r, plus the theta term / dt^2 / r^2.
     """
-    m_r, m_theta = grid.m_r, grid.m_theta
-    if m_r < 3 or m_theta < 3:
+    if grid.m_r < 3 or grid.m_theta < 3:
         raise InvalidArgument("need at least 3 points in each direction")
-    r = grid.r_nodes[:, None]
-    dr = (grid.r_max - grid.r_min) / (m_r - 1)
-    dt = grid.L / m_theta
+    mid, up, down = grid.values[1:-1], grid.values[2:], grid.values[:-2]
+    ri = grid.r_nodes[1:-1, None]
+    dr = (grid.r_max - grid.r_min) / (grid.m_r - 1)
+    dt = grid.L / grid.m_theta
     # numpy scalars: a square past the float range is inf, not OverflowError
-    dr2, two_dr, dt2 = np.float64(dr) ** 2, 2.0 * dr, np.float64(dt) ** 2
-
-    blocks = _row_blocks(1, m_r - 1, m_theta)
-    size = blocks[0][1] - blocks[0][0]
-    two_u, res, tmp = np.empty((3, size, m_theta))
-    peak, sum_sq = 0.0, 0.0
-    for i0, i1 in blocks:
-        u = grid.values[i0 - 1:i1 + 1]
-        mid, up, down = u[1:-1], u[2:], u[:-2]
-        ri = r[i0:i1]
-        two, out, t = two_u[:i1 - i0], res[:i1 - i0], tmp[:i1 - i0]
-        np.multiply(2.0, mid, out=two)
-        np.subtract(up, two, out=out)
-        out += down
-        out /= dr2
-        np.subtract(up, down, out=t)
-        t /= two_dr
-        t /= ri
-        out += t
-        # (u(theta+) - 2u) + u(theta-) over the block read as one row, then
-        # the two edge columns again with the periodic neighbour
-        flat_mid, flat_t = mid.reshape(-1), t.reshape(-1)
-        np.subtract(flat_mid[1:], two.reshape(-1)[:-1], out=flat_t[:-1])
-        np.subtract(mid[:, 0], two[:, -1], out=t[:, -1])
-        flat_t[1:] += flat_mid[:-1]
-        np.subtract(mid[:, 1], two[:, 0], out=t[:, 0])
-        t[:, 0] += mid[:, -1]
-        t /= dt2
-        t /= ri ** 2
-        out += t
-        sum_sq += np.einsum("ij,ij->", out, out)  # no BLAS thread start-up
-        peak = np.maximum(peak, np.abs(out, out=t).max())
-    return float(peak), math.sqrt(sum_sq / ((m_r - 2) * m_theta))
+    u_rr = ((up - 2.0 * mid) + down) / np.float64(dr) ** 2
+    u_r = (up - down) / (2.0 * dr)
+    u_tt = ((np.roll(mid, -1, axis=1) - 2.0 * mid) + np.roll(mid, 1, axis=1)) \
+        / np.float64(dt) ** 2
+    res = u_rr + u_r / ri + u_tt / ri ** 2
+    return float(np.abs(res).max()), float(np.sqrt(np.mean(res ** 2)))
 
 
 def _factored_residual(alpha: float, mode_id: int, L: float, r_min: float,
@@ -214,8 +145,8 @@ def _factored_residual(alpha: float, mode_id: int, L: float, r_min: float,
     cos 0: the table's max is column 0's, max |a_i g_0 + b_i h_0|, with h_0
     from the three samples g_1, g_0 and g_(m-1).  They are taken at the
     integer phases (j k mod m) / m, so no node k L / m overflows and a
-    large j is sampled as accurately as j mod m; h_0 is divided by dt
-    twice, so dt^2 past the float range raises nothing.
+    large j is sampled as accurately as j mod m; they are Python floats, so
+    h_0 past the float range is inf without a warning (nan if dt is 0).
     """
     r = np.linspace(r_min, r_max, m)
     f = r ** alpha
@@ -226,8 +157,9 @@ def _factored_residual(alpha: float, mode_id: int, L: float, r_min: float,
     b = mid / ri / ri
     j, dt = (mode_id + 1) // 2, L / m
     phases = np.array([0, j % m, -j % m]) / m
-    g0, g1, g_1 = math.sqrt(2.0 / L) * np.cos(2.0 * math.pi * phases)
-    h0 = ((g1 - 2.0 * g0) + g_1) / dt / dt
+    g0, g1, g_1 = (math.sqrt(2.0 / L)
+                   * np.cos(2.0 * math.pi * phases)).tolist()
+    h0 = ((g1 - 2.0 * g0) + g_1) / dt / dt if dt else math.nan
     return float(np.abs(a * g0 + b * h0).max())
 
 

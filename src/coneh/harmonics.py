@@ -160,14 +160,17 @@ def _log_weights(u: ConeHarmonic, s) -> tuple[np.ndarray, np.ndarray]:
             "call drop_constant() first")
     if not u._alpha.size:
         raise DegenerateInput("all mode coefficients vanish")
-    logw = 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
-    # weights leave the float range only once alpha |log s| nears it; a
+    # weights leave the float range only once alpha |log s| nears it (a
+    # product of Python floats, which overflows without a warning); a
     # weight of -inf below a finite top weight is an exact zero term
-    if u._alpha[-1] * max(-math.log(lo), math.log(hi)) > 1e300:
-        bad = ~np.isfinite(logw.max(axis=-1))
-        if bad.any():
-            raise NumericFailure("the largest log weight leaves the float "
-                                 f"range at s = {s[bad][0]}")
+    if float(u._alpha[-1]) * max(-math.log(lo), math.log(hi)) <= 1e300:
+        return u._alpha, 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = 2.0 * (u._log_c + u._alpha * np.log(s)[..., None])
+    bad = ~np.isfinite(logw.max(axis=-1))
+    if bad.any():
+        raise NumericFailure("the largest log weight leaves the float "
+                             f"range at s = {s[bad][0]}")
     return u._alpha, logw
 
 
@@ -319,6 +322,14 @@ def circle_eigenfunction(L: float, mode_id: int, theta):
                                  else np.sin(arg))
 
 
+def circle_mode_sum(u: ConeHarmonic, L: float, theta, r):
+    """constant + sum of c r^alpha phi(theta) over the active modes, in
+    order, on Circle(L); theta and r are floats or broadcasting arrays."""
+    return sum((m.c * r ** m.alpha * circle_eigenfunction(L, m.mode_id, theta)
+                for m in u.modes if m.c != 0.0 and m.mode_id != 0),
+               u.constant_term)
+
+
 def evaluate(u: ConeHarmonic, X: CrossSection, theta: float, r: float) -> float:
     """Evaluate u at the cone point (theta, r) over a circle cross-section,
     with the eigenfunctions of ``circle_eigenfunction``."""
@@ -330,7 +341,4 @@ def evaluate(u: ConeHarmonic, X: CrossSection, theta: float, r: float) -> float:
         raise InvalidArgument(f"r must be nonnegative, got {r}")
     if r == 0.0:
         return u.constant_term
-    return float(sum((m.c * r ** m.alpha
-                      * circle_eigenfunction(X.length, m.mode_id, theta)
-                      for m in u.modes if m.c != 0.0 and m.mode_id != 0),
-                     u.constant_term))
+    return float(circle_mode_sum(u, X.length, theta, r))

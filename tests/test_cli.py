@@ -403,21 +403,28 @@ class TestExitCodes:
         assert str(path) in doc["error"]["message"]
         assert where in doc["error"]["message"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["verify-grid", "--mode", "1e308", "1", "1"],
         ["frequency", "--harmonic", "HUGE", "--s", "1", "10"],
+        ["verify-grid", "--mode", "1", "1", "1", "--length", "1e-300",
+         "--resolutions", "4", "8", "16"],
+        # the theta spacing L / m underflows to 0
+        ["verify-grid", "--mode", "1", "1", "1", "--length", "5e-324",
+         "--resolutions", "4", "8", "16"],
     ])
     def test_numeric_failure_past_the_float_range(self, capsys, tmp_path,
                                                   argv):
         # alpha = 1e308 overflows r^alpha on the grid and alpha * log s in
-        # the log weights; the report must not print NaN
+        # the log weights, and L = 1e-300 overflows the theta stencil; the
+        # report must not print NaN, and no numpy warning precedes it
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n": 2, "modes": [
             {"alpha": 1e308, "c": 1.0, "mode_id": 1},
             {"alpha": 1.0, "c": 1.0, "mode_id": 2}]}))
-        code, out = run(capsys, *[str(path) if a == "HUGE" else a
-                                  for a in argv])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, *[str(path) if a == "HUGE" else a
+                                      for a in argv])
         doc = json.loads(out, parse_constant=pytest.fail)
         assert code == EXIT_VERIFICATION
         assert doc["schema"] == "coneh/1"
