@@ -15,9 +15,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from . import spectra
 from .errors import InvalidArgument, NumericFailure
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import RESONANCE_TOL, CrossSection, in_float_range
@@ -104,7 +101,11 @@ class EmpiricalRatio(NamedTuple):
     cesaro_deviation: float
 
 
-#: Growth orders one Cesaro sum may sample: about 10 s on a 3-sphere.
+#: Growth orders one Cesaro sum may sample.  The sums take O(1), O(log K)
+#: and O(levels) steps, so this bounds what the float checks can certify,
+#: not their cost: the orders i - 1 + delta stay exact floats, and the tie
+#: margin 8 eps K of `CrossSection.cesaro_offset`, which grows with K on
+#: circles, stays below 2**-24, under the smallest offset 2**-20.
 _MAX_CESARO_ORDERS = 2 ** 24
 
 
@@ -203,39 +204,17 @@ def cesaro_limit(X: CrossSection, n: int) -> float:
     return _limit(2.0 * alpha, n, n, "the Cesaro limit")
 
 
-def _cesaro_offset(X: CrossSection, k: float) -> float:
-    """A fixed non-resonant sampling offset: half the minimal resonance gap
-    up to k, capped at 0.25."""
-    return min(0.25, X.exponent_gap(max(k, 1.0)) / 2.0)
-
-
-def _exact_sum(counts: np.ndarray) -> int:
-    """The sum of nonnegative exact counts as a Python int: summed in int64
-    where size * max < 2**63 proves the sum fits, as Python ints else."""
-    if counts.dtype == np.int64 and counts.size * int(counts.max()) < 2 ** 63:
-        return int(counts.sum())
-    return sum(counts.tolist())
-
-
-def _cesaro_total(X: CrossSection, n: int, k: float, delta: float) -> int:
-    """Sum of N_X at the growth orders i - 1 + delta, i = 1..int(k), as an
-    exact integer; the orders go through the level table in blocks, each
-    summed by `_exact_sum`."""
-    total = 0
-    for start in range(0, int(k), spectra.LEVEL_BLOCK):
-        orders = np.arange(start, min(start + spectra.LEVEL_BLOCK, int(k))) + delta
-        total += _exact_sum(X.count_array(eigenvalue_from_exponent(orders, n)))
-    return total
-
-
 def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
                                 tol: float = RESONANCE_TOL
                                 ) -> list[EmpiricalRatio]:
     """Pointwise and Cesaro ratios with deviations from their limits.
 
-    Resonant k are perturbed by +tol so every sample is non-resonant; the
-    Cesaro sum samples growth orders i-1+delta with a fixed non-resonant
-    offset delta.
+    Resonant k are perturbed by +tol so every sample is non-resonant.  The
+    Cesaro sum samples N_X at the growth orders i-1+delta, i = 1..int(k),
+    with delta from `CrossSection.cesaro_offset`: 1/4, halved while a
+    sampled order lies on a resonance.  Each cross-section sums them
+    exactly by `CrossSection.cesaro_total`, in closed form on spheres and
+    circles and level by level on spectrum files.
     """
     _check_dim(X, n)
     limit_p = asymptotic_ratio(X, n)
@@ -250,7 +229,7 @@ def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
         if int(k) > _MAX_CESARO_ORDERS:
             raise NumericFailure(f"the Cesaro sum at k = {k} needs {int(k)} "
                                  f"orders, past {_MAX_CESARO_ORDERS}")
-        ratio_c = _scaled(_cesaro_total(X, n, k, _cesaro_offset(X, k)), k, -n,
+        ratio_c = _scaled(X.cesaro_total(k, X.cesaro_offset(k)), k, -n,
                           f"the Cesaro ratio at k = {k}")
         out.append(EmpiricalRatio(
             k=k, pointwise_ratio=ratio_p,

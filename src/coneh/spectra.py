@@ -10,8 +10,9 @@ variant supplies three vectorised primitives: ``level_eigenvalue(i)``,
 and ``Circle(L)`` (and ``MetricCircleNumeric``, a variable-density circle
 counted as the round circle of its length) and ``np.searchsorted`` for
 ``ExplicitSpectrum``, a user-supplied truncated spectrum.  ``CrossSection``
-writes counting, the resonant set and the resonance lookup once on top of
-them, and truncates any spectrum to an ``ExplicitSpectrum``.
+writes counting, the resonant set, the resonance lookup and the Cesaro
+sums once on top of them (spheres and circles sum in closed form), and
+truncates any spectrum to an ``ExplicitSpectrum``.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -52,17 +53,21 @@ LEVEL_BLOCK = 1 << 16
 #: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
 _MAX_LEVELS = 2 ** 20
 
-#: Level-count work a round-sphere table may take, in levels times the
-#: dimension d: a level count is a product of d integers, so the work per
-#: level grows with d.  The counts of a full table take about 0.5 s up to
-#: d = 100, 0.9 s on S^400 (10485 levels) and 1.8 s on S^1000 (4194
-#: levels), 2-core x86 host.
+#: Levels times the dimension d that a round-sphere table may hold.  The
+#: counts of a contiguous table step a binomial from level to level: a
+#: full table takes about 26 ms at d = 100, 10 ms on S^400 (10485 levels)
+#: and 5 ms on S^1000 (4194 levels), 2-core x86 host, against 0.9-2.2 s
+#: for the product of d integers per level that other lookups take.
 _MAX_SPHERE_TABLE_WORK = 2 ** 22
 
 #: Largest round-sphere dimension.  A level count is a product of d big
 #: integers: `count` at two lambdas takes about 0.6 ms at d = 1000 and
 #: 0.5 s at d = 30000 (2-core x86 host).
 _MAX_SPHERE_DIM = 1000
+
+#: Largest power of two that halves the Cesaro sampling offset: the offset
+#: starts at 2**-2 and halves while a sampled order ties with a resonance.
+_MIN_OFFSET_EXP = 20
 
 #: Natural logs of the smallest normal float and of the largest float.
 _LOG_MIN = math.log(sys.float_info.min)
@@ -132,6 +137,46 @@ def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
         raise InvalidArgument(f"entry {i}: " + text.format(
             lam=float(eigs[i]), prev=float(prev[i]),
             mult=mults[i:i + 1].tolist()[0], bound=truncation_bound))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over i = 0..n-1, for Python ints
+    n >= 0 and m >= 1, in O(log m) steps of Euclid's algorithm."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        # count the lattice points under the line with the axes swapped
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """The sum of nonnegative exact counts as a Python int: summed in int64
+    where size * max < 2**63 proves the sum fits, as Python ints else."""
+    if counts.dtype == np.int64 and counts.size * int(counts.max()) < 2 ** 63:
+        return int(counts.sum())
+    return sum(counts.tolist())
+
+
+def _tie_shift(orders: int) -> int:
+    """The e with 2**-e the tie margin of the growth orders o < K = orders:
+    a power of two >= 8 eps K.
+
+    `count_array` counts an eigenvalue at the order o when
+    fl(lam_j) <= fl(fl(o (o + n - 2)) (1 + 4 eps)).  On a circle
+    lam_j = fl(fl(fl(2 pi j) / L)^2) is (j/x)^2, x = L / fl(2 pi) exactly,
+    within 5 roundings of u = eps/2 (two in the exponent, doubled by the
+    square, and the square's own), and the right side is o^2 (1 + 8u)
+    within 2u for n = 2.  So if |j/x - o| > 8 eps o = 16u o, the float
+    test agrees with the exact j <= o x: below, (1 - 16u)^2 (1 + 5u) <
+    (1 + 8u)(1 - 2u), and above, (1 + 16u)^2 (1 - 5u) > (1 + 8u)(1 + 2u).
+    Every order is below K, and 8 eps K = 2**-49 K <= 2**(bits(K) - 49)."""
+    return 49 - orders.bit_length()
 
 
 def _check_level_count(levels: int, what: str, ceiling: float):
@@ -265,17 +310,68 @@ class CrossSection:
             keep = betas <= beta_max
             yield betas[keep], lams[keep]
 
-    def exponent_gap(self, beta_max: float) -> float:
-        """A lower bound on the gap between two distinct resonant exponents
-        in [0, beta_max]: the smallest such gap, walked block by block (inf
-        for fewer than two), unless a subclass knows it in closed form."""
-        gap, prev = math.inf, np.empty(0)
-        for betas, _ in self.resonance_blocks(beta_max):
-            run = np.concatenate((prev, betas))
-            steps = np.diff(run)
-            gap = min(gap, float(steps[steps > 0].min(initial=math.inf)))
-            prev = run[-1:]
-        return gap
+    # -- Cesaro sums --------------------------------------------------------
+
+    def cesaro_offset(self, k: float) -> float:
+        """The sampling offset delta of the Cesaro sum up to k: the largest
+        2**-m, m >= 2, with no growth order i - 1 + delta (i = 1..int(k))
+        within the tie margin (`_tie_shift`) of a resonant exponent, so
+        that no sampled order is resonant and the closed forms of
+        `cesaro_total` count as `count_array` does; NumericFailure when
+        2**-_MIN_OFFSET_EXP still ties.  The margin is derived for int(k)
+        up to growth's ceiling of 2**24 orders."""
+        orders = int(k)
+        for m in range(2, _MIN_OFFSET_EXP + 1):
+            if not orders or not self._cesaro_ties(orders, m):
+                return 2.0 ** -m
+        raise NumericFailure(
+            f"every Cesaro offset down to 2**-{_MIN_OFFSET_EXP} puts a growth "
+            f"order below k = {k} on a resonance")
+
+    def _cesaro_ties(self, orders: int, m: int) -> bool:
+        """Whether a resonant exponent lies within the tie margin of an order
+        i + 2**-m, 0 <= i < orders: the nearest order to each exponent in
+        the level table, in one pass."""
+        n = self.ambient_dim
+        top = self.level_lookup(
+            np.array([eigenvalue_from_exponent(float(orders), n)]))[0]
+        betas = exponent_from_eigenvalue(
+            self.level_eigenvalue(np.arange(top + 1)), n)
+        delta = 2.0 ** -m
+        nearest = np.clip(np.rint(betas - delta), 0, orders - 1) + delta
+        return bool((np.abs(betas - nearest) <= 2.0 ** -_tie_shift(orders)).any())
+
+    def cesaro_total(self, k: float, delta: float) -> int:
+        """The sum of N_X at the growth orders i - 1 + delta, i = 1..int(k),
+        as an exact integer.  Level l counts from the first order o_l at
+        which `count_array` counts it, so the sum is
+        sum_l m_l * (int(k) - o_l), in one pass over the levels the last
+        order counts; ResolutionInsufficient where that order lies past the
+        certified bound."""
+        orders = int(k)
+        if not orders:
+            return 0
+        n = self.ambient_dim
+        last = eigenvalue_from_exponent(orders - 1 + delta, n)
+        self._check_certified(last)
+        top = self.level_lookup(np.array([last * (1.0 + _EQUAL_RTOL)]))[0]
+        lams = self.level_eigenvalue(np.arange(top + 1))
+
+        def counted(i):
+            return lams <= eigenvalue_from_exponent(i + delta, n) * (
+                1.0 + _EQUAL_RTOL)
+        first = np.clip(np.ceil(exponent_from_eigenvalue(lams, n) - delta),
+                        0, orders - 1).astype(np.int64)
+        # settle the float guesses on the predicate of count_array
+        while (down := (first > 0) & counted(np.maximum(first - 1, 0))).any():
+            first = first - down
+        while (up := ~counted(first)).any():
+            first = first + up
+        mults = np.diff(self.level_count(np.arange(-1, top + 1)))
+        weights = orders - first
+        if mults.dtype != np.int64 or int(mults.max()) * orders >= 2 ** 63:
+            mults, weights = mults.astype(object), weights.astype(object)
+        return _exact_sum(mults * weights)
 
     def resonant_set_upto(self, beta_max: float
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +470,8 @@ class RoundSphere(CrossSection):
         d = self.d
         # the product below stays under 2*(l+d)^d
         if l.size and (int(l.max()) + d) ** d >= 2 ** 62:
+            if l[0] >= 0 and (np.diff(l) == 1).all():
+                return _running_counts(int(l[0]), l.size, d)
             l = l.astype(object)
         # dim of harmonic polynomials of degree <= l in R^(d+1):
         # C(l+d, d) + C(l+d-1, d) = (l+1)...(l+d-1) * (2l+d) / d!
@@ -385,8 +483,14 @@ class RoundSphere(CrossSection):
         root = np.sqrt(d1 * d1 + 4.0 * np.maximum(lam, 0.0))
         return self._settle(np.floor((root - d1) / 2.0), lam)
 
-    def exponent_gap(self, beta_max: float) -> float:
-        return 1.0  # level l has exponent l
+    def _cesaro_ties(self, orders: int, m: int) -> bool:
+        return False  # the orders i + 1/4 lie 1/4 from the integer exponents
+
+    def cesaro_total(self, k: float, delta: float) -> int:
+        # order i - 1 + delta in (i - 1, i) counts the levels l < i, so the
+        # total sums C(l+d, d) + C(l+d-1, d) over l < K: two hockey sticks
+        K, d = int(k), self.d
+        return math.comb(K + d, d + 1) + math.comb(K + d - 1, d + 1)
 
     def max_levels(self) -> int:
         return min(_MAX_LEVELS, _MAX_SPHERE_TABLE_WORK // self.d)
@@ -428,8 +532,26 @@ class Circle(CrossSection):
     def level_count(self, j):
         return np.maximum(2 * j + 1, 0)
 
-    def exponent_gap(self, beta_max: float) -> float:
-        return 2.0 * math.pi / self.length  # level j has exponent 2*pi*j/L
+    def _floor_total(self, orders: int, num: int, den: int) -> int:
+        """The sum of floor((i + num/den) x) over i < orders, x = L / fl(2 pi)
+        exactly: the levels j >= 1 that the order i + num/den counts."""
+        p, q = self.length.as_integer_ratio()
+        s, t = (2.0 * math.pi).as_integer_ratio()
+        return _floor_sum(orders, den * q * s, den * p * t, num * p * t)
+
+    def _cesaro_ties(self, orders: int, m: int) -> bool:
+        # the levels j/x in (o - margin, o + margin], summed over the orders
+        # o = i + 2**-m: two floor sums that differ exactly where one ties
+        shift = _tie_shift(orders)
+        den = 1 << max(m, shift)
+        centre, margin = den >> m, den >> shift
+        return (self._floor_total(orders, centre + margin, den)
+                != self._floor_total(orders, centre - margin, den))
+
+    def cesaro_total(self, k: float, delta: float) -> int:
+        # N_X(o) = 1 + 2 floor(o x) away from ties
+        num, den = delta.as_integer_ratio()
+        return int(k) + 2 * self._floor_total(int(k), num, den)
 
     def level_lookup(self, lam):
         guess = self.length * np.sqrt(np.maximum(lam, 0.0)) / (2.0 * math.pi)
@@ -437,6 +559,18 @@ class Circle(CrossSection):
 
     def measure(self) -> float:
         return self.length
+
+
+def _running_counts(start: int, size: int, d: int) -> np.ndarray:
+    """`RoundSphere(d).level_count` at the levels start, ..., start+size-1
+    (start >= 0) as Python ints: C(l+d, d) + C(l+d-1, d), with C(l+d, d)
+    stepped by (l+1+d)/(l+1) from one level to the next."""
+    counts = []
+    below, at = math.comb(start + d - 1, d), math.comb(start + d, d)
+    for l in range(start + 1, start + size + 1):
+        counts.append(at + below)
+        below, at = at, at * (l + d) // l
+    return np.array(counts, dtype=object)
 
 
 def _cumulative(mults: np.ndarray) -> np.ndarray:

@@ -1,8 +1,15 @@
 """Independent brute-force oracles shared by the test modules."""
 
+import bisect
 import math
+import sys
 
 import numpy as np
+
+from coneh import spectra
+from coneh.exponents import eigenvalue_from_exponent
+
+RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
 
 
 def monomials(n, degree):
@@ -89,3 +96,34 @@ def factored_table_max(alpha, mode_id, L, r_min, r_max, m):
         2.0 * math.pi * (j * np.arange(m) % m) / m)
     h = ((np.roll(g, -1) - 2.0 * g) + np.roll(g, 1)) / dt / dt
     return float(np.abs(np.outer(a, g) + np.outer(b, h)).max())
+
+
+def per_order_total(X, n, k, delta):
+    """The Cesaro total as a per-order loop over bisect counts: N_X at the
+    growth orders i - 1 + delta, i = 1..int(k), each counted as
+    `count_array` counts (reference for CrossSection.cesaro_total)."""
+    entries = X.spectrum_upto(eigenvalue_from_exponent(k + 1.0, n)).entries
+    eigs = [ev for ev, _ in entries]
+    cum = np.cumsum([m for _, m in entries], dtype=object).tolist()
+    total = 0
+    for i in range(1, int(k) + 1):
+        lam = eigenvalue_from_exponent(i - 1 + delta, n)
+        total += cum[bisect.bisect_right(eigs, lam * (1.0 + RTOL)) - 1]
+    return total
+
+
+def cesaro_offset_walk(X, k):
+    """The largest 2**-m, 2 <= m <= 20, with no resonant exponent within the
+    tie margin of a growth order i + 2**-m, 0 <= i < int(k), from the
+    resonant set walked block by block; None if every one ties (reference
+    for CrossSection.cesaro_offset)."""
+    orders = int(k)
+    margin = 2.0 ** -spectra._tie_shift(orders)
+    for m in range(2, 21):
+        delta = 2.0 ** -m
+        if not orders or not any(
+                (abs(betas - (np.clip(np.rint(betas - delta), 0, orders - 1)
+                              + delta)) <= margin).any()
+                for betas, _ in X.resonance_blocks(float(orders))):
+            return delta
+    return None

@@ -550,6 +550,27 @@ class TestExitCodes:
         assert doc["error"]["exit_code"] == EXIT_VERIFICATION
         assert size in doc["error"]["message"]
 
+    @pytest.mark.parametrize("cs, n", [("sphere:2", 3),
+                                       ("circle:6.283185307179586", 2)])
+    def test_cesaro_sum_at_the_order_ceiling(self, capsys, cs, n):
+        k = 16777215.5  # 2**24 - 1 orders
+        code, doc = run_json(capsys, "asymptotic", "--cross-section", cs,
+                             "--n", str(n), "--k", repr(k))
+        assert code == EXIT_OK
+        row = doc["table"][0]
+        K = int(k)
+        # sphere:2 counts (l + 1)**2 through level l, circle:2*pi 2l + 1
+        total = K * (K + 1) * (2 * K + 1) // 6 if n == 3 else K * K
+        assert row["cesaro_ratio"] == pytest.approx(total / k ** n, rel=1e-15)
+        if n == 3:
+            X = parse_cross_section(cs)
+            assert X.cesaro_total(k, X.cesaro_offset(k)) == total
+        code, doc = run_json(capsys, "asymptotic", "--cross-section", cs,
+                             "--n", str(n), "--k", "16777217")
+        assert code == EXIT_VERIFICATION
+        assert doc["error"]["type"] == "NumericFailure"
+        assert "needs 16777217 orders, past 16777216" in doc["error"]["message"]
+
     @pytest.mark.parametrize("argv, error", [
         (["weyl", "--cross-section", "sphere:4", "--n", "5",
           "--lambda", "1e-300"], "the Weyl ratio at lambda = 1e-300"),

@@ -2,22 +2,26 @@
 
 Each cross-section is a level table; counting, left counting, resonance
 lookup and the Cesaro sums are written once on top of it.  These tests
-compare them with linear scans over the `spectrum_upto` entries.
+compare them with linear scans over the `spectrum_upto` entries, and the
+Cesaro sums with the per-order walk of `tests/oracles.py`.
 """
 
-import bisect
 import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
+from coneh import (Circle, ExplicitSpectrum, InvalidArgument, NumericFailure,
                    ResolutionInsufficient, RoundSphere,
-                   eigenvalue_from_exponent, exponent_from_eigenvalue, growth,
+                   eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_staircase, spectra)
 from coneh.eigensolver import MetricCircle
+
+from .oracles import cesaro_offset_walk, per_order_total
 
 TWO_PI = 2.0 * math.pi
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
@@ -139,56 +143,121 @@ def test_staircase_keeps_step_at_resonant_k_max():
         assert (last.h, last.jump) == (X.counting(lam), mult)
 
 
-def per_order_total(X, n, k, delta):
-    """The Cesaro total as a per-order loop over bisect counts."""
-    entries = X.spectrum_upto(eigenvalue_from_exponent(k + 1.0, n)).entries
-    eigs = [ev for ev, _ in entries]
-    cum = np.cumsum([m for _, m in entries], dtype=object).tolist()
-    total = 0
-    for i in range(1, int(k) + 1):
-        lam = eigenvalue_from_exponent(i - 1 + delta, n)
-        total += cum[bisect.bisect_right(eigs, lam * (1.0 + RTOL)) - 1]
-    return total
-
-
 CESARO_CASES = [(Circle(TWO_PI), 2, 100_000.3), (RoundSphere(5), 6, 10_000.5)]
 
 
 @pytest.mark.parametrize("X,n,k", CESARO_CASES)
 def test_cesaro_total_matches_per_order_loop(X, n, k):
-    delta = growth._cesaro_offset(X, k)
+    delta = X.cesaro_offset(k)
     assert delta == 0.25
-    total = growth._cesaro_total(X, n, k, delta)
+    total = X.cesaro_total(k, delta)
     assert type(total) is int
     assert total == per_order_total(X, n, k, delta)
     if n == 6:
         assert total > 2 ** 63  # past int64: the sum must not wrap
 
 
-@pytest.mark.parametrize("X,n,k", CESARO_CASES)
-def test_cesaro_total_across_block_boundaries(X, n, k, monkeypatch):
-    delta = growth._cesaro_offset(X, k)
-    total = growth._cesaro_total(X, n, k, delta)
-    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 997)
-    assert growth._cesaro_offset(X, k) == delta
-    assert growth._cesaro_total(X, n, k, delta) == total
+def test_floor_sum_matches_brute_force():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        n, m = int(rng.integers(0, 60)), int(rng.integers(1, 40))
+        a, b = (int(v) for v in rng.integers(-100, 100, 2))
+        assert spectra._floor_sum(n, m, a, b) == sum(
+            (a * i + b) // m for i in range(n)), (n, m, a, b)
 
 
-def test_cesaro_blocks_on_both_sides_of_the_int64_guard(monkeypatch):
-    X, n, k = RoundSphere(5), 6, 10_000.5  # a total past 2**63
-    delta = growth._cesaro_offset(X, k)
-    blocks, exact_sum = [], growth._exact_sum
+def _circle(p, q):
+    return Circle(TWO_PI * p / q)
 
-    def recorded(counts):
-        blocks.append(counts.size * int(counts.max()) < 2 ** 63)
-        return exact_sum(counts)
-    monkeypatch.setattr(growth, "_exact_sum", recorded)
-    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 997)
-    total = growth._cesaro_total(X, n, k, delta)
-    # early blocks are summed in int64, late ones as Python ints
-    assert True in blocks and False in blocks
+
+def _repeated_gaps(n, gaps, mults):
+    """A spectrum file whose exponents step by the given gaps, certified
+    two orders past its last exponent."""
+    betas = np.cumsum([0.0, *gaps])
+    top = float(betas[-1]) + 2.0
+    return ExplicitSpectrum(n, eigenvalue_from_exponent(betas, n),
+                            [1, *mults], top * (top + n - 2.0), 3.0)
+
+
+# circles 2*pi*p/q with q <= 12, and those with 4 | p drawn on purpose:
+# there the orders i + 1/4 fall on resonances
+CESARO_SECTIONS = st.one_of(
+    st.integers(1, 6).map(RoundSphere),
+    st.integers(1, 12).flatmap(
+        lambda q: st.integers(1, q).filter(lambda p: math.gcd(p, q) == 1)
+        .map(lambda p: _circle(p, q))),
+    st.sampled_from([(4, 5), (4, 7), (4, 9), (8, 9), (4, 11), (8, 11)])
+    .map(lambda pq: _circle(*pq)),
+    st.just(spectra.MetricCircleNumeric(MetricCircle((0.9, 0.3, 0.5, 0.7)))),
+    st.integers(2, 4).flatmap(lambda n: st.integers(1, 40).flatmap(
+        lambda size: st.builds(
+            _repeated_gaps, st.just(n),
+            st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]),
+                     min_size=size, max_size=size),
+            # 2**60 per level takes the sum past int64
+            st.lists(st.sampled_from([1, 2, 3, 2 ** 60]),
+                     min_size=size, max_size=size)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=CESARO_SECTIONS, frac=st.floats(0.0, 1.0))
+def test_cesaro_total_matches_the_per_order_oracle(X, frac):
+    n = X.ambient_dim
+    top = (exponent_from_eigenvalue(X.certified_bound(), n) - 2.0
+           if isinstance(X, ExplicitSpectrum) else 300.0)
+    k = frac * top
+    delta = X.cesaro_offset(k)
+    assert delta == cesaro_offset_walk(X, k)
+    total = X.cesaro_total(k, delta)
     assert type(total) is int
     assert total == per_order_total(X, n, k, delta)
+    # no sampled order is a resonance
+    assert not any(X.is_resonant(i + delta)[0] for i in range(int(k)))
+
+
+@pytest.mark.parametrize("p, delta", [(4, 0.125), (8, 0.0625)])
+def test_cesaro_offset_misses_the_resonances_of_circles(p, delta):
+    # on x = 4/9 the exponents 9j/4 take the orders i + 1/4 (2.25 at j = 1);
+    # on x = 8/9 the exponents 9j/8 take i + 1/4 (j = 2) and i + 1/8 (j = 1)
+    X, k = _circle(p, 9), 150.3
+    assert X.cesaro_offset(k) == delta
+    assert not any(X.is_resonant(i + delta)[0] for i in range(int(k)))
+    assert X.cesaro_total(k, delta) == per_order_total(X, 2, k, delta)
+    assert X.is_resonant(2.25)[0]
+
+
+def test_cesaro_offset_halves_past_a_file_tie():
+    # integer exponents, and 699.25 and 800.125 on the orders i + 1/4 and
+    # i + 1/8: the offset halves twice
+    exps = sorted([*range(1000), 699.25, 800.125])
+    X = ExplicitSpectrum(2, [b * b for b in exps],
+                         [1 if b == 0 else 2 for b in exps], 1100.0 ** 2, TWO_PI)
+    assert X.cesaro_offset(1050.0) == cesaro_offset_walk(X, 1050.0) == 0.0625
+    assert X.cesaro_offset(750.0) == 0.125  # 800.125 lies past the orders
+    assert X.cesaro_total(1050.0, 0.0625) == per_order_total(X, 2, 1050.0, 0.0625)
+
+
+def test_cesaro_offset_fails_past_its_last_halving():
+    # exponents j (1 + 2**-20): the order 2**(20-m) + 2**-m is the exponent
+    # of j = 2**(20-m), for every m <= 20 once the orders pass 2**18
+    X = _circle(2 ** 20, 2 ** 20 + 1)
+    with pytest.raises(NumericFailure, match=r"2\*\*-20 puts a growth order"):
+        X.cesaro_offset(600_000.5)
+    assert cesaro_offset_walk(X, 600_000.5) is None
+    # below 2**18 orders the first tie, at j = 2**18, lies past them
+    assert X.cesaro_offset(200_000.5) == 0.25
+
+
+# the circles 2*pi*p/q (q <= 12) and spheres of growth-sweep, at its orders
+@pytest.mark.parametrize("X", [
+    *(Circle(TWO_PI * p / q) for q, p in [(1, 1), (2, 1), (3, 2), (7, 3),
+                                          (11, 10), (12, 1), (12, 7)]),
+    *(RoundSphere(d) for d in range(1, 6)),
+    # a metric circle is counted as the round circle of its length
+    spectra.MetricCircleNumeric(MetricCircle((1.0, 0.3, 2.0, 0.7)))], ids=repr)
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.5, 40.0, 1999.7, 99_500.3, 999_500.3])
+def test_closed_form_cesaro_offset_matches_the_walk(X, k):
+    assert X.cesaro_offset(k) == cesaro_offset_walk(X, k)
 
 
 class _NoList(np.ndarray):
@@ -211,33 +280,19 @@ def test_exact_sum_is_exact_on_both_sides_of_the_guard(values, total):
     fits = counts.dtype == np.int64 and len(values) * max(values) < 2 ** 63
     if fits:  # the int64 path, or the spy raises
         counts = counts.view(_NoList)
-    result = growth._exact_sum(counts)
+    result = spectra._exact_sum(counts)
     assert type(result) is int and result == total
 
 
-def test_cesaro_offset_sees_gap_across_block_boundary(monkeypatch):
-    # exponents 0, 1, ..., 999, 999.1, 1001, ...: the smallest gap, from
-    # 999 to 999.1, lies between the last level of the first block and the
-    # first level of the second
-    exps = [float(j) for j in range(1000)] + [999.1] + [
-        float(j) for j in range(1001, 1100)]
-    X = ExplicitSpectrum(2, [b * b for b in exps],
-                         [1 if b == 0 else 2 for b in exps], 1100.0 ** 2, TWO_PI)
-    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 1000)
-    assert growth._cesaro_offset(X, 1050.0) == pytest.approx(0.05, rel=1e-9)
-
-
-# the circles 2*pi*p/q (q <= 12) and spheres of growth-sweep, at its orders
-@pytest.mark.parametrize("X", [
-    *(Circle(TWO_PI * p / q) for q, p in [(1, 1), (2, 1), (3, 2), (7, 3),
-                                          (11, 10), (12, 1), (12, 7)]),
-    *(RoundSphere(d) for d in range(1, 6)),
-    # a metric circle is counted as the round circle of its length
-    spectra.MetricCircleNumeric(MetricCircle((1.0, 0.3, 2.0, 0.7)))], ids=repr)
-@pytest.mark.parametrize("k", [0.3, 1.0, 2.5, 40.0, 1999.7, 99_500.3, 999_500.3])
-def test_closed_form_cesaro_offset_matches_the_walk(X, k):
-    walked = min(0.25, spectra.CrossSection.exponent_gap(X, max(k, 1.0)) / 2.0)
-    assert growth._cesaro_offset(X, k) == walked
+@pytest.mark.parametrize("d", [7, 50, 400])
+def test_running_sphere_counts_match_the_product(d):
+    # a contiguous range steps a binomial; any other order takes the product
+    levels = np.arange(3000)
+    running = RoundSphere(d).level_count(levels)
+    assert running.dtype == object
+    product = RoundSphere(d).level_count(levels[::-1].copy())[::-1]
+    assert running.tolist() == product.tolist() == [
+        math.comb(l + d, d) + math.comb(l + d - 1, d) for l in levels.tolist()]
 
 
 def test_counts_past_int64_stay_exact():
