@@ -53,11 +53,11 @@ LEVEL_BLOCK = 1 << 16
 #: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
 _MAX_LEVELS = 2 ** 20
 
-#: Levels times the dimension d that a round-sphere table may hold.  The
-#: counts of a contiguous table step a binomial from level to level: a
-#: full table takes about 26 ms at d = 100, 10 ms on S^400 (10485 levels)
-#: and 5 ms on S^1000 (4194 levels), 2-core x86 host, against 0.9-2.2 s
-#: for the product of d integers per level that other lookups take.
+#: Level-count work a round-sphere table may take, in levels times the
+#: dimension d: a level count is a product of d integers, so the work per
+#: level grows with d.  The counts of a full table take about 0.5 s up to
+#: d = 100, 0.9 s on S^400 (10485 levels) and 1.8 s on S^1000 (4194
+#: levels), 2-core x86 host.
 _MAX_SPHERE_TABLE_WORK = 2 ** 22
 
 #: Largest round-sphere dimension.  A level count is a product of d big
@@ -316,10 +316,10 @@ class CrossSection:
         """The sampling offset delta of the Cesaro sum up to k: the largest
         2**-m, m >= 2, with no growth order i - 1 + delta (i = 1..int(k))
         within the tie margin (`_tie_shift`) of a resonant exponent, so
-        that no sampled order is resonant and the closed forms of
-        `cesaro_total` count as `count_array` does; NumericFailure when
-        2**-_MIN_OFFSET_EXP still ties.  The margin is derived for int(k)
-        up to growth's ceiling of 2**24 orders."""
+        that on circles the float count at every sampled order is the
+        exact one that the floor sum of `cesaro_total` adds up;
+        NumericFailure when 2**-_MIN_OFFSET_EXP still ties.  The margin is
+        derived for int(k) up to growth's ceiling of 2**24 orders."""
         orders = int(k)
         for m in range(2, _MIN_OFFSET_EXP + 1):
             if not orders or not self._cesaro_ties(orders, m):
@@ -341,37 +341,17 @@ class CrossSection:
         nearest = np.clip(np.rint(betas - delta), 0, orders - 1) + delta
         return bool((np.abs(betas - nearest) <= 2.0 ** -_tie_shift(orders)).any())
 
-    def cesaro_total(self, k: float, delta: float) -> int:
+    def cesaro_total(self, k: float) -> int:
         """The sum of N_X at the growth orders i - 1 + delta, i = 1..int(k),
-        as an exact integer.  Level l counts from the first order o_l at
-        which `count_array` counts it, so the sum is
-        sum_l m_l * (int(k) - o_l), in one pass over the levels the last
-        order counts; ResolutionInsufficient where that order lies past the
-        certified bound."""
-        orders = int(k)
-        if not orders:
-            return 0
-        n = self.ambient_dim
-        last = eigenvalue_from_exponent(orders - 1 + delta, n)
-        self._check_certified(last)
-        top = self.level_lookup(np.array([last * (1.0 + _EQUAL_RTOL)]))[0]
-        lams = self.level_eigenvalue(np.arange(top + 1))
-
-        def counted(i):
-            return lams <= eigenvalue_from_exponent(i + delta, n) * (
-                1.0 + _EQUAL_RTOL)
-        first = np.clip(np.ceil(exponent_from_eigenvalue(lams, n) - delta),
-                        0, orders - 1).astype(np.int64)
-        # settle the float guesses on the predicate of count_array
-        while (down := (first > 0) & counted(np.maximum(first - 1, 0))).any():
-            first = first - down
-        while (up := ~counted(first)).any():
-            first = first + up
-        mults = np.diff(self.level_count(np.arange(-1, top + 1)))
-        weights = orders - first
-        if mults.dtype != np.int64 or int(mults.max()) * orders >= 2 ** 63:
-            mults, weights = mults.astype(object), weights.astype(object)
-        return _exact_sum(mults * weights)
+        delta = `cesaro_offset(k)`, as an exact integer; the orders go
+        through `count_array` in blocks, each summed by `_exact_sum`,
+        unless a subclass knows the sum in closed form."""
+        delta, n, total = self.cesaro_offset(k), self.ambient_dim, 0
+        for start in range(0, int(k), LEVEL_BLOCK):
+            orders = np.arange(start, min(start + LEVEL_BLOCK, int(k))) + delta
+            total += _exact_sum(self.count_array(
+                eigenvalue_from_exponent(orders, n)))
+        return total
 
     def resonant_set_upto(self, beta_max: float
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -470,8 +450,6 @@ class RoundSphere(CrossSection):
         d = self.d
         # the product below stays under 2*(l+d)^d
         if l.size and (int(l.max()) + d) ** d >= 2 ** 62:
-            if l[0] >= 0 and (np.diff(l) == 1).all():
-                return _running_counts(int(l[0]), l.size, d)
             l = l.astype(object)
         # dim of harmonic polynomials of degree <= l in R^(d+1):
         # C(l+d, d) + C(l+d-1, d) = (l+1)...(l+d-1) * (2l+d) / d!
@@ -486,7 +464,7 @@ class RoundSphere(CrossSection):
     def _cesaro_ties(self, orders: int, m: int) -> bool:
         return False  # the orders i + 1/4 lie 1/4 from the integer exponents
 
-    def cesaro_total(self, k: float, delta: float) -> int:
+    def cesaro_total(self, k: float) -> int:
         # order i - 1 + delta in (i - 1, i) counts the levels l < i, so the
         # total sums C(l+d, d) + C(l+d-1, d) over l < K: two hockey sticks
         K, d = int(k), self.d
@@ -548,9 +526,9 @@ class Circle(CrossSection):
         return (self._floor_total(orders, centre + margin, den)
                 != self._floor_total(orders, centre - margin, den))
 
-    def cesaro_total(self, k: float, delta: float) -> int:
+    def cesaro_total(self, k: float) -> int:
         # N_X(o) = 1 + 2 floor(o x) away from ties
-        num, den = delta.as_integer_ratio()
+        num, den = self.cesaro_offset(k).as_integer_ratio()
         return int(k) + 2 * self._floor_total(int(k), num, den)
 
     def level_lookup(self, lam):
@@ -559,18 +537,6 @@ class Circle(CrossSection):
 
     def measure(self) -> float:
         return self.length
-
-
-def _running_counts(start: int, size: int, d: int) -> np.ndarray:
-    """`RoundSphere(d).level_count` at the levels start, ..., start+size-1
-    (start >= 0) as Python ints: C(l+d, d) + C(l+d-1, d), with C(l+d, d)
-    stepped by (l+1+d)/(l+1) from one level to the next."""
-    counts = []
-    below, at = math.comb(start + d - 1, d), math.comb(start + d, d)
-    for l in range(start + 1, start + size + 1):
-        counts.append(at + below)
-        below, at = at, at * (l + d) // l
-    return np.array(counts, dtype=object)
 
 
 def _cumulative(mults: np.ndarray) -> np.ndarray:

@@ -150,11 +150,36 @@ CESARO_CASES = [(Circle(TWO_PI), 2, 100_000.3), (RoundSphere(5), 6, 10_000.5)]
 def test_cesaro_total_matches_per_order_loop(X, n, k):
     delta = X.cesaro_offset(k)
     assert delta == 0.25
-    total = X.cesaro_total(k, delta)
+    total = X.cesaro_total(k)
     assert type(total) is int
     assert total == per_order_total(X, n, k, delta)
     if n == 6:
         assert total > 2 ** 63  # past int64: the sum must not wrap
+
+
+# spectrum files walk the orders through count_array; the walk run on a
+# sphere or a circle must give its closed form
+@pytest.mark.parametrize("X,n,k", CESARO_CASES)
+def test_cesaro_total_across_block_boundaries(X, n, k, monkeypatch):
+    total = X.cesaro_total(k)
+    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 997)
+    assert spectra.CrossSection.cesaro_total(X, k) == total
+
+
+def test_cesaro_blocks_on_both_sides_of_the_int64_guard(monkeypatch):
+    X, n, k = RoundSphere(5), 6, 10_000.5  # a total past 2**63
+    blocks, exact_sum = [], spectra._exact_sum
+
+    def recorded(counts):
+        blocks.append(counts.size * int(counts.max()) < 2 ** 63)
+        return exact_sum(counts)
+    monkeypatch.setattr(spectra, "_exact_sum", recorded)
+    monkeypatch.setattr(spectra, "LEVEL_BLOCK", 997)
+    total = spectra.CrossSection.cesaro_total(X, k)
+    # early blocks are summed in int64, late ones as Python ints
+    assert True in blocks and False in blocks
+    assert type(total) is int
+    assert total == per_order_total(X, n, k, X.cesaro_offset(k))
 
 
 def test_floor_sum_matches_brute_force():
@@ -208,10 +233,11 @@ def test_cesaro_total_matches_the_per_order_oracle(X, frac):
     k = frac * top
     delta = X.cesaro_offset(k)
     assert delta == cesaro_offset_walk(X, k)
-    total = X.cesaro_total(k, delta)
+    total = X.cesaro_total(k)
     assert type(total) is int
     assert total == per_order_total(X, n, k, delta)
-    # no sampled order is a resonance
+    # the offset only misses ties within the rounding margin, but on these
+    # exponents a tie is exact or far from every order: none is resonant
     assert not any(X.is_resonant(i + delta)[0] for i in range(int(k)))
 
 
@@ -222,7 +248,7 @@ def test_cesaro_offset_misses_the_resonances_of_circles(p, delta):
     X, k = _circle(p, 9), 150.3
     assert X.cesaro_offset(k) == delta
     assert not any(X.is_resonant(i + delta)[0] for i in range(int(k)))
-    assert X.cesaro_total(k, delta) == per_order_total(X, 2, k, delta)
+    assert X.cesaro_total(k) == per_order_total(X, 2, k, delta)
     assert X.is_resonant(2.25)[0]
 
 
@@ -234,7 +260,7 @@ def test_cesaro_offset_halves_past_a_file_tie():
                          [1 if b == 0 else 2 for b in exps], 1100.0 ** 2, TWO_PI)
     assert X.cesaro_offset(1050.0) == cesaro_offset_walk(X, 1050.0) == 0.0625
     assert X.cesaro_offset(750.0) == 0.125  # 800.125 lies past the orders
-    assert X.cesaro_total(1050.0, 0.0625) == per_order_total(X, 2, 1050.0, 0.0625)
+    assert X.cesaro_total(1050.0) == per_order_total(X, 2, 1050.0, 0.0625)
 
 
 def test_cesaro_offset_fails_past_its_last_halving():
@@ -282,17 +308,6 @@ def test_exact_sum_is_exact_on_both_sides_of_the_guard(values, total):
         counts = counts.view(_NoList)
     result = spectra._exact_sum(counts)
     assert type(result) is int and result == total
-
-
-@pytest.mark.parametrize("d", [7, 50, 400])
-def test_running_sphere_counts_match_the_product(d):
-    # a contiguous range steps a binomial; any other order takes the product
-    levels = np.arange(3000)
-    running = RoundSphere(d).level_count(levels)
-    assert running.dtype == object
-    product = RoundSphere(d).level_count(levels[::-1].copy())[::-1]
-    assert running.tolist() == product.tolist() == [
-        math.comb(l + d, d) + math.comb(l + d - 1, d) for l in levels.tolist()]
 
 
 def test_counts_past_int64_stay_exact():
