@@ -44,7 +44,7 @@ def main():
     print("\ngrowth dimensions of the cone over this circle:")
     k_res = TWO_PI / L  # first resonant order; h_k jumps from 1 to 3 here
     for k in (0.5, 1.0, 0.999 * k_res, 1.001 * k_res, 4.0):
-        rep = hk_bounds(X, 2, k, tol=1e-5)
+        rep = hk_bounds(X, 2, k)
         tag = "resonant" if rep.resonant else f"exact = {rep.exact}"
         print(f"  k = {k:6.3f}:  {rep.lower} <= h_k <= {rep.upper}  ({tag})")
 

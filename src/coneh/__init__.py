@@ -2,7 +2,7 @@
 
 from .errors import (ConehError, DegenerateInput, InvalidArgument,
                      NumericFailure, PreconditionViolation,
-                     ResolutionInsufficient, UnsupportedCrossSection)
+                     ResolutionInsufficient)
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import (Circle, CrossSection, ExplicitSpectrum,
                       MetricCircleNumeric, RoundSphere, load_spectrum,
@@ -15,7 +15,7 @@ from .growth import (CollapsedReport, EmpiricalRatio, GrowthReport,
                      empirical_ratio_convergence, euclidean_hk, hk_bounds,
                      hk_staircase, weyl_ratio)
 from .harmonics import (ConeHarmonic, Mode, circle_mode,
-                        cone_harmonic_from_json, evaluate,
+                        cone_harmonic_from_json,
                         frequency_identity_check, load_harmonic,
                         sharp_growth_order, three_circles_ratio)
 from .harmonics import I, D, U, J  # noqa: E741 - standard functional names

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import __version__, eigensolver, gridcheck, growth, harmonics, selftest
 from .errors import ConehError, InvalidArgument, NumericFailure
@@ -124,7 +123,7 @@ def cmd_hk(args) -> int:
         _emit(args, doc, table, ["k_lo", "k_hi", "h"])
         return EXIT_OK
     rep = growth.hk_bounds(X, args.n, args.k)
-    _emit(args, _report(_cs_config(args), {"growth_report": asdict(rep)}))
+    _emit(args, _report(_cs_config(args), {"growth_report": rep._asdict()}))
     return EXIT_OK
 
 
@@ -152,7 +151,7 @@ def cmd_asymptotic(args) -> int:
 def cmd_collapsed(args) -> int:
     X = parse_cross_section(args.cross_section)
     rep = growth.collapsed_bounds(X, args.n, args.m, args.k)
-    _emit(args, _report(_cs_config(args), {"collapsed_report": asdict(rep)}))
+    _emit(args, _report(_cs_config(args), {"collapsed_report": rep._asdict()}))
     return EXIT_OK
 
 

@@ -53,21 +53,18 @@ class MetricCircle:
     @property
     def total_length(self) -> float:
         # periodic rectangle rule == trapezoid rule on a closed curve; fsum
-        # rounds the sample sum once
-        return 2.0 * math.pi * math.fsum(self.density) / len(self.density)
+        # rounds the sample sum once, or raises where it passes the float
+        # range, and then the length is past 2*pi too
+        try:
+            total = math.fsum(self.density)
+        except OverflowError:
+            total = math.inf
+        return 2.0 * math.pi * total / len(self.density)
 
     @classmethod
-    def constant(cls, length: float, samples: int = 64) -> "MetricCircle":
-        return cls(tuple([length / (2.0 * math.pi)] * samples))
-
-    def resample(self, m: int) -> np.ndarray:
-        """Density at m uniform theta points by periodic linear interpolation."""
-        a = np.asarray(self.density)
-        m0 = len(a)
-        x = np.arange(m) * m0 / m
-        i0 = np.floor(x).astype(int) % m0
-        frac = x - np.floor(x)
-        return a[i0] * (1.0 - frac) + a[(i0 + 1) % m0] * frac
+    def constant(cls, length: float) -> "MetricCircle":
+        """The circle of the given length as 64 equal density samples."""
+        return cls(tuple([length / (2.0 * math.pi)] * 64))
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,6 @@ def assemble(circle: MetricCircle, m: int) -> DiscreteOperator:
     """
     if m < 16 or m & (m - 1) != 0:
         raise InvalidArgument(f"m must be a power of two >= 16, got {m}")
-    circle.resample(m)  # validates interpolability; arclength map is uniform
     h = circle.total_length / m
     return DiscreteOperator(m, tuple([1.0 / (h * h)] * m))
 

@@ -41,6 +41,3 @@ class PreconditionViolation(ConehError, ValueError):
 
     exit_code = 3
 
-
-class UnsupportedCrossSection(ConehError, TypeError):
-    """The operation needs evaluable eigenfunctions this cross-section lacks."""

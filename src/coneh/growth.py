@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidArgument, NumericFailure
-from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
+from .exponents import eigenvalue_from_exponent
 from .spectra import RESONANCE_TOL, CrossSection, in_float_range
 
 __all__ = [
     "GrowthReport", "CollapsedReport", "StaircaseStep", "EmpiricalRatio",
-    "WeylRatio", "exponent_from_eigenvalue", "eigenvalue_from_exponent",
-    "ball_volume", "hk_bounds", "hk_staircase", "asymptotic_ratio", "cesaro_limit",
-    "empirical_ratio_convergence", "weyl_ratio", "collapsed_bounds",
-    "euclidean_hk",
+    "WeylRatio", "ball_volume", "hk_bounds", "hk_staircase",
+    "asymptotic_ratio", "cesaro_limit", "empirical_ratio_convergence",
+    "weyl_ratio", "collapsed_bounds", "euclidean_hk",
 ]
 
 
@@ -54,8 +52,7 @@ def euclidean_hk(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """h_k bounds for one (X, n, k): lower/upper, exactness, resonance info."""
 
     k: float
@@ -67,8 +64,7 @@ class GrowthReport:
     nearest_resonance: float
 
 
-@dataclass(frozen=True)
-class CollapsedReport:
+class CollapsedReport(NamedTuple):
     """h_k bounds when the cone has Hausdorff dimension m <= n."""
 
     k: float
@@ -124,12 +120,15 @@ def _scaled(count: int, base: float, exponent: float, what: str) -> float:
         direct, lambda: math.log(count) + exponent * math.log(base), what)
 
 
-def _limit(x: float, f: int, m: int, what: str) -> float:
-    """x / (f! * omega_m), the shape of the asymptotic limits."""
+def _limit(measure: float, per: int, f: int, m: int, what: str) -> float:
+    """2 * (measure / per) / (f! * omega_m), the shape of the asymptotic
+    limits; the logs are taken of the measure, as measure / per may
+    underflow to 0."""
     omega = ball_volume(m)
     return in_float_range(
-        lambda: x / (math.factorial(f) * omega),
-        lambda: math.log(x) - math.lgamma(f + 1.0) - math.log(omega), what)
+        lambda: 2.0 * (measure / per) / (math.factorial(f) * omega),
+        lambda: (math.log(2.0) + math.log(measure) - math.log(per)
+                 - math.lgamma(f + 1.0) - math.log(omega)), what)
 
 
 def _check_dim(X: CrossSection, n: int):
@@ -145,8 +144,7 @@ def _check_order(k: float, name: str = "k"):
         raise InvalidArgument(f"{name} must be positive and finite, got {k}")
 
 
-def hk_bounds(X: CrossSection, n: int, k: float,
-              tol: float = RESONANCE_TOL) -> GrowthReport:
+def hk_bounds(X: CrossSection, n: int, k: float) -> GrowthReport:
     """Lower/upper/exact h_k from the counting function of X.
 
     upper = N_X(k(k+n-2)); lower = the strict count below k(k+n-2)
@@ -156,7 +154,7 @@ def hk_bounds(X: CrossSection, n: int, k: float,
     """
     _check_dim(X, n)
     _check_order(k)
-    upper, left, (resonant, beta, _dist) = X.growth_counts(k, tol)
+    upper, left, (resonant, beta, _dist) = X.growth_counts(k)
     return GrowthReport(
         k=k, n=n, lower=max(1, left), upper=upper,
         exact=None if resonant else upper,
@@ -195,24 +193,21 @@ def hk_staircase(X: CrossSection, n: int, k_max: float,
 def asymptotic_ratio(X: CrossSection, n: int) -> float:
     """The limit of k^(1-n) h_k: 2*alpha / ((n-1)! * omega_n)."""
     _check_dim(X, n)
-    alpha = X.measure() / n
-    return _limit(2.0 * alpha, n - 1, n, "the pointwise limit")
+    return _limit(X.measure(), n, n - 1, n, "the pointwise limit")
 
 
 def cesaro_limit(X: CrossSection, n: int) -> float:
     """The limit of k^(-n) * sum of h_(i-1): 2*alpha / (n! * omega_n)."""
     _check_dim(X, n)
-    alpha = X.measure() / n
-    return _limit(2.0 * alpha, n, n, "the Cesaro limit")
+    return _limit(X.measure(), n, n, n, "the Cesaro limit")
 
 
-def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
-                                tol: float = RESONANCE_TOL
+def empirical_ratio_convergence(X: CrossSection, n: int, k_list
                                 ) -> list[EmpiricalRatio]:
     """Pointwise and Cesaro ratios with deviations from their limits.
 
-    Resonant k are perturbed by +tol so every sample is non-resonant.  The
-    Cesaro sum samples N_X at the growth orders i-1+delta, i = 1..int(k),
+    Resonant k are perturbed by +RESONANCE_TOL before the pointwise count.
+    The Cesaro sum samples N_X at the growth orders i-1+delta, i = 1..int(k),
     with delta from `CrossSection.cesaro_offset`: 1/4, halved while a
     sampled order lies within the rounding margin 8 eps int(k) of a
     resonant exponent.  `CrossSection.cesaro_total` sums them exactly, in
@@ -225,8 +220,8 @@ def empirical_ratio_convergence(X: CrossSection, n: int, k_list,
     out = []
     for k in k_list:
         _check_order(k)
-        resonant, _, _ = X.is_resonant(k, tol)
-        k_eff = k + tol if resonant else k
+        resonant, _, _ = X.is_resonant(k)
+        k_eff = k + RESONANCE_TOL if resonant else k
         h = X.counting(eigenvalue_from_exponent(k_eff, n))
         ratio_p = _scaled(h, k_eff, 1 - n, f"the pointwise ratio at k = {k}")
         if int(k) > _MAX_CESARO_ORDERS:
@@ -251,13 +246,14 @@ def weyl_ratio(X: CrossSection, n: int, lam: float) -> WeylRatio:
     _check_dim(X, n)
     if lam <= 0:
         raise InvalidArgument(f"lambda must be positive, got {lam}")
-    alpha = X.measure() / n
+    measure = X.measure()
+    alpha = measure / n
     ratio = _scaled(X.counting(lam), lam, -(n - 1) / 2.0,
                     f"the Weyl ratio at lambda = {lam}")
     omega = ball_volume(n - 1)
     limit = in_float_range(
         lambda: n * omega * alpha / (2.0 * math.pi) ** (n - 1),
-        lambda: (math.log(n * omega) + math.log(alpha)
+        lambda: (math.log(omega) + math.log(measure)
                  - (n - 1) * math.log(2.0 * math.pi)), "the Weyl limit")
     deviation = abs(ratio - limit) / limit
     if deviation == math.inf:
@@ -284,6 +280,6 @@ def collapsed_bounds(X: CrossSection, n: int, m: int, k: float
     lower = max(1, X.counting_left(k * (k + m - 2)))
     upper = X.counting((k + (n - m) / 2.0) * (k + (n + m) / 2.0 - 2.0))
     V = X.measure()
-    limit_ratio = _limit(2.0 * V, m, m, "the collapsed limit ratio")
+    limit_ratio = _limit(V, 1, m, m, "the collapsed limit ratio")
     return CollapsedReport(k=k, n=n, m=m, V=V, lower=lower, upper=upper,
                            limit_ratio=limit_ratio)

@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateInput, InvalidArgument, NumericFailure,
-                     PreconditionViolation, UnsupportedCrossSection)
+                     PreconditionViolation)
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
-from .spectra import Circle, CrossSection, _finite_number, _read_json
+from .spectra import _finite_number, _read_json
 
 
 class Mode(NamedTuple):
@@ -329,16 +329,3 @@ def circle_mode_sum(u: ConeHarmonic, L: float, theta, r):
                 for m in u.modes if m.c != 0.0 and m.mode_id != 0),
                u.constant_term)
 
-
-def evaluate(u: ConeHarmonic, X: CrossSection, theta: float, r: float) -> float:
-    """Evaluate u at the cone point (theta, r) over a circle cross-section,
-    with the eigenfunctions of ``circle_eigenfunction``."""
-    if not isinstance(X, Circle):
-        raise UnsupportedCrossSection(
-            "pointwise evaluation needs explicit eigenfunctions; only "
-            "circle cross-sections are supported")
-    if r < 0:
-        raise InvalidArgument(f"r must be nonnegative, got {r}")
-    if r == 0.0:
-        return u.constant_term
-    return float(circle_mode_sum(u, X.length, theta, r))

@@ -29,9 +29,10 @@ import numpy as np
 from .errors import InvalidArgument, NumericFailure, ResolutionInsufficient
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 
-#: Default absolute tolerance on beta for resonance detection.  Closed-form
-#: spectra are exact; callers using numeric spectra should widen this to
-#: cover the certified error bars.
+#: The resonance verdict: k is resonant when it lies within this absolute
+#: distance of a resonant exponent.  It is the one fixed rule for every
+#: cross-section, not a default to widen: each spectrum is a closed form or
+#: a table taken as given, and 1e-9 covers the roundings of the exponent map.
 RESONANCE_TOL = 1e-9
 
 #: An eigenvalue within this relative distance of a query lambda counts as
@@ -46,8 +47,8 @@ _EQUAL_RTOL = 4.0 * sys.float_info.epsilon
 #: one ulp, about 12u = 6 eps in all.
 _ROUNDING_RTOL = 8.0 * sys.float_info.epsilon
 
-#: Levels (or growth orders) per array pass over a level table, so the
-#: memory of a pass does not grow with the spectrum or with k.
+#: Growth orders per array pass of the Cesaro walk, so the memory of a
+#: pass does not grow with k.
 LEVEL_BLOCK = 1 << 16
 
 #: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
@@ -64,6 +65,13 @@ _MAX_SPHERE_TABLE_WORK = 2 ** 22
 #: integers: `count` at two lambdas takes about 0.6 ms at d = 1000 and
 #: 0.5 s at d = 30000 (2-core x86 host).
 _MAX_SPHERE_DIM = 1000
+
+#: Shortest circle on which every level j < 2**55 has a finite eigenvalue
+#: (2*pi*j/L)^2: 2*pi*2**55/L stays below the square root of the largest
+#: float, so the square does not overflow.  `_settle` refuses levels past
+#: 2**53.  About 1.7e-137.
+_FINITE_LEVELS_LENGTH = (2.0 * math.pi * 2.0 ** 55
+                         / math.sqrt(sys.float_info.max))
 
 #: Largest power of two that halves the Cesaro sampling offset: the offset
 #: starts at 2**-2 and halves while a sampled order ties with a resonance.
@@ -292,23 +300,10 @@ class CrossSection:
             self.ambient_dim, eigs, np.diff(self.level_count(levels), prepend=0),
             max(lambda_max, float(eigs[-1])), measure)
 
-    def resonance_blocks(self, beta_max: float, max_levels: float = math.inf):
-        """Yield (exponents, eigenvalues) arrays of the resonances in
-        [0, beta_max], in level order, LEVEL_BLOCK levels at a time; past
-        `max_levels` levels, NumericFailure before the first block."""
-        n = self.ambient_dim
-        lam_max = eigenvalue_from_exponent(beta_max, n)
-        self._check_certified(lam_max)
-        # lam_max may round below the eigenvalue whose exponent is beta_max,
-        # so the level one past the lookup is read too
-        stop = self.level_lookup(np.array([lam_max]))[0] + 2
-        _check_level_count(stop, f"the resonant set up to {beta_max}", max_levels)
-        for start in range(0, stop, LEVEL_BLOCK):
-            lams = self.level_eigenvalue(
-                np.arange(start, min(start + LEVEL_BLOCK, stop)))
-            betas = exponent_from_eigenvalue(lams, n)
-            keep = betas <= beta_max
-            yield betas[keep], lams[keep]
+    def _exponents(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(exponents, eigenvalues) of the levels below `stop`, in one pass."""
+        lams = self.level_eigenvalue(np.arange(stop))
+        return exponent_from_eigenvalue(lams, self.ambient_dim), lams
 
     # -- Cesaro sums --------------------------------------------------------
 
@@ -332,11 +327,9 @@ class CrossSection:
         """Whether a resonant exponent lies within the tie margin of an order
         i + 2**-m, 0 <= i < orders: the nearest order to each exponent in
         the level table, in one pass."""
-        n = self.ambient_dim
-        top = self.level_lookup(
-            np.array([eigenvalue_from_exponent(float(orders), n)]))[0]
-        betas = exponent_from_eigenvalue(
-            self.level_eigenvalue(np.arange(top + 1)), n)
+        top = self.level_lookup(np.array(
+            [eigenvalue_from_exponent(float(orders), self.ambient_dim)]))[0]
+        betas, _ = self._exponents(top + 1)
         delta = 2.0 ** -m
         nearest = np.clip(np.rint(betas - delta), 0, orders - 1) + delta
         return bool((np.abs(betas - nearest) <= 2.0 ** -_tie_shift(orders)).any())
@@ -358,55 +351,60 @@ class CrossSection:
         """(exponents, eigenvalues): every beta in [0, beta_max] with
         beta*(beta+n-2) in the spectrum, beside the stored eigenvalue it
         came from, in level order."""
-        exps, lams = zip(*self.resonance_blocks(beta_max, self.max_levels()))
-        return np.concatenate(exps), np.concatenate(lams)
+        lam_max = eigenvalue_from_exponent(beta_max, self.ambient_dim)
+        self._check_certified(lam_max)
+        # lam_max may round below the eigenvalue whose exponent is beta_max,
+        # so the level one past the lookup is read too
+        stop = self.level_lookup(np.array([lam_max]))[0] + 2
+        _check_level_count(stop, f"the resonant set up to {beta_max}",
+                           self.max_levels())
+        betas, lams = self._exponents(stop)
+        keep = betas <= beta_max
+        return betas[keep], lams[keep]
 
-    def is_resonant(self, k: float, tol: float = RESONANCE_TOL
-                    ) -> tuple[bool, float, float]:
-        """Whether k lies within tol of a resonant exponent.
+    def is_resonant(self, k: float) -> tuple[bool, float, float]:
+        """Whether k lies within RESONANCE_TOL of a resonant exponent.
 
         Returns ``(resonant, nearest_beta, distance)`` so callers can flag
         "exactness not guaranteed" near resonances.  Only the levels on
         either side of k(k+n-2) are read; the one above counts while its
-        exponent is at most k + max(tol, 1) and certified.
+        exponent is at most k + 1 and certified.
         """
-        window = self._resonance_window(k, tol)
+        window = self._resonance_window(k)
         lam = eigenvalue_from_exponent(k, self.ambient_dim)
         return self._nearest_resonance(
-            k, tol, window, self.level_lookup(np.array([lam]))[0])
+            k, window, self.level_lookup(np.array([lam]))[0])
 
-    def growth_counts(self, k: float, tol: float = RESONANCE_TOL
+    def growth_counts(self, k: float
                       ) -> tuple[int, int, tuple[bool, float, float]]:
-        """(counting(lam), counting_left(lam), is_resonant(k, tol)) at
+        """(counting(lam), counting_left(lam), is_resonant(k)) at
         lam = k(k+n-2), with the checks of the three in their order, from
         one level lookup."""
         lam = eigenvalue_from_exponent(k, self.ambient_dim)
         self._check_certified(lam)
-        window = self._resonance_window(k, tol)
+        window = self._resonance_window(k)
         # the probes of count_array, count_left_array and is_resonant
         levels = self.level_lookup(np.array([
             lam * (1.0 + _EQUAL_RTOL),
             np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf), lam]))
         upper, left = self.level_count(levels[:2]).tolist()
-        return upper, left, self._nearest_resonance(k, tol, window, levels[2])
+        return upper, left, self._nearest_resonance(k, window, levels[2])
 
-    def _resonance_window(self, k: float, tol: float) -> float:
-        """The largest exponent `is_resonant` reads at k: k + max(tol, 1), or
-        less where the certified spectrum ends before it."""
-        if tol < 0:
-            raise InvalidArgument(f"tol must be nonnegative, got {tol}")
+    def _resonance_window(self, k: float) -> float:
+        """The largest exponent `is_resonant` reads at k: k + 1, or less
+        where the certified spectrum ends before it."""
         if k < 0:
             raise InvalidArgument(f"k must be nonnegative, got {k}")
         n = self.ambient_dim
-        window = k + max(tol, 1.0)
+        window = k + 1.0
         try:
             self._check_certified(eigenvalue_from_exponent(window, n))
         except ResolutionInsufficient:
-            self._check_certified(eigenvalue_from_exponent(k + tol, n))
+            self._check_certified(eigenvalue_from_exponent(k + RESONANCE_TOL, n))
             window = exponent_from_eigenvalue(self.certified_bound(), n)
         return window
 
-    def _nearest_resonance(self, k: float, tol: float, window: float, i: int
+    def _nearest_resonance(self, k: float, window: float, i: int
                            ) -> tuple[bool, float, float]:
         """`is_resonant` from the level i of k(k+n-2)."""
         n = self.ambient_dim
@@ -415,7 +413,7 @@ class CrossSection:
         closer = above <= window and abs(k - above) < abs(k - below)
         beta = above if closer else below
         dist = abs(k - beta)
-        return dist <= tol, beta, dist
+        return dist <= RESONANCE_TOL, beta, dist
 
 
 @dataclass(frozen=True)
@@ -505,7 +503,12 @@ class Circle(CrossSection):
         return math.inf
 
     def level_eigenvalue(self, j):
-        return (2.0 * math.pi * j / self.length) ** 2
+        if self.length >= _FINITE_LEVELS_LENGTH:
+            return (2.0 * math.pi * j / self.length) ** 2
+        # inf is the eigenvalue of a level past the float range; level 0
+        # stays 0, and numpy need not warn of the overflow
+        with np.errstate(over="ignore"):
+            return (2.0 * math.pi * j / self.length) ** 2
 
     def level_count(self, j):
         return np.maximum(2 * j + 1, 0)
@@ -630,7 +633,6 @@ class MetricCircleNumeric(Circle):
     def __init__(self, circle):
         # `circle` is an eigensolver.MetricCircle, which validated its length
         object.__setattr__(self, "length", circle.total_length)
-        object.__setattr__(self, "metric_circle", circle)
 
     def error_bars(self, spectrum: ExplicitSpectrum) -> list[float]:
         """One bar per level of `spectrum`: the float rounding of lambda."""

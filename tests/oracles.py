@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from coneh import spectra
-from coneh.exponents import eigenvalue_from_exponent
+from coneh.exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
 
@@ -112,18 +112,29 @@ def per_order_total(X, n, k, delta):
     return total
 
 
-def cesaro_offset_walk(X, k):
+def cesaro_offset_walk(X, k, block=1 << 16):
     """The largest 2**-m, 2 <= m <= 20, with no resonant exponent within the
     tie margin of a growth order i + 2**-m, 0 <= i < int(k), from the
-    resonant set walked block by block; None if every one ties (reference
-    for CrossSection.cesaro_offset)."""
-    orders = int(k)
+    exponents of the levels walked `block` at a time; None if every one
+    ties (reference for CrossSection.cesaro_offset)."""
+    orders, n = int(k), X.ambient_dim
+    if not orders:
+        return 0.25
     margin = 2.0 ** -spectra._tie_shift(orders)
+    # the level of exponent `orders`, and one past it against rounding
+    stop = X.level_lookup(
+        np.array([eigenvalue_from_exponent(float(orders), n)]))[0] + 2
+
+    def exponents():
+        for start in range(0, stop, block):
+            betas = exponent_from_eigenvalue(X.level_eigenvalue(
+                np.arange(start, min(start + block, stop))), n)
+            yield betas[betas <= orders]
+
     for m in range(2, 21):
         delta = 2.0 ** -m
-        if not orders or not any(
-                (abs(betas - (np.clip(np.rint(betas - delta), 0, orders - 1)
-                              + delta)) <= margin).any()
-                for betas, _ in X.resonance_blocks(float(orders))):
+        if not any((abs(betas - (np.clip(np.rint(betas - delta), 0, orders - 1)
+                                 + delta)) <= margin).any()
+                   for betas in exponents()):
             return delta
     return None

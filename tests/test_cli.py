@@ -388,6 +388,9 @@ class TestExitCodes:
         ("zero.csv", "0,0.5\n1,0.5\n2,0\n3,0.5\n", "sample 2"),
         ("short.json", "[0.5, 0.5]", "at least 4"),
         ("long.csv", "0,2\n1,2\n2,2\n3,2\n", "exceeds 2*pi"),
+        # the sample sum passes the float range
+        ("overflow.json", "[1e308, 1e308, 1e308, 1e308]",
+         "total length inf exceeds 2*pi"),
         ("field.csv", "0," + "5" * 200_000 + "\n", "field larger"),
     ])
     def test_usage_error_on_malformed_density_file(self, capsys, tmp_path,
@@ -411,11 +414,17 @@ class TestExitCodes:
         # the theta spacing L / m underflows to 0
         ["verify-grid", "--mode", "1", "1", "1", "--length", "5e-324",
          "--resolutions", "4", "8", "16"],
+        # alpha = L / 2 underflows to 0, and the limits with it
+        ["asymptotic", "--cross-section", "circle:5e-324", "--n", "2",
+         "--k", "3.5"],
+        ["weyl", "--cross-section", "circle:5e-324", "--n", "2",
+         "--lambda", "4"],
     ])
     def test_numeric_failure_past_the_float_range(self, capsys, tmp_path,
                                                   argv):
         # alpha = 1e308 overflows r^alpha on the grid and alpha * log s in
-        # the log weights, and L = 1e-300 overflows the theta stencil; the
+        # the log weights, L = 1e-300 overflows the theta stencil, and
+        # L = 5e-324 takes the asymptotic limits below the float range; the
         # report must not print NaN, and no numpy warning precedes it
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n": 2, "modes": [
@@ -586,11 +595,27 @@ class TestExitCodes:
           "--k", "1e12"], "more than 4300 digits"),
         (["hk", "--cross-section", "sphere:1000", "--n", "1001",
           "--k", "1e12", "--format", "csv"], "more than 4300 digits"),
+        # every eigenvalue past level 0 overflows to inf on these circles
+        *(([cmd, "--cross-section", cs, *rest], None)
+          for cs in ["circle:1e-300", "circle:5e-324", "metric-circle:TINY"]
+          for cmd, *rest in [["hk", "--n", "2", "--k", "3.5"],
+                             ["hk", "--n", "2", "--k-max", "5"],
+                             ["count", "--lambda", "1", "4"],
+                             ["spectrum", "--lambda-max", "9"],
+                             ["asymptotic", "--n", "2", "--k", "3.5", "100.5"]]
+          if (cs, cmd) != ("circle:5e-324", "asymptotic")),
     ])
-    def test_tiny_or_high_dimensional_input(self, capsys, argv, error):
+    def test_tiny_or_high_dimensional_input(self, capsys, tmp_path, argv,
+                                            error):
         # each once ended in OverflowError from a float ** or math.gamma,
-        # or in ValueError from printing an h_k of some 12000 digits
-        code, out = run(capsys, *argv)
+        # or in ValueError from printing an h_k of some 12000 digits, or
+        # printed a numpy overflow warning
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps([1e-300] * 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, *[a.replace("TINY", str(tiny))
+                                      for a in argv])
         doc = json.loads(out, parse_constant=pytest.fail)
         assert doc["schema"] == "coneh/1"
         if error is None:

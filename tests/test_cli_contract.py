@@ -45,6 +45,7 @@ def files(tmp_path_factory):
         "density.json": json.dumps([0.5, 0.6, 0.55, 0.45]),
         "density.csv": "0,0.5\n1,0.6\n2,0.55\n3,0.45\n",
         "negative.json": "[0.5, -1, 0.5, 0.5]",
+        "overflow.json": json.dumps([1e308] * 4),
         "malformed.json": '{"n": 2, "modes": [',
         "deep.json": "[" * 100_000,
         "digits.json": "[" + "1" * 5000 + "]",
@@ -61,9 +62,10 @@ def files(tmp_path_factory):
         "density": ["density.json", "density.csv"],
         "hostile": ["missing.json", "dir.json", "utf16.json",
                     "malformed.json", "deep.json", "digits.json"],
-        "hostile_density": ["negative.json", "utf16.csv", "long.csv",
-                            "missing.json", "dir.json", "utf16.json",
-                            "malformed.json", "deep.json", "digits.json"],
+        "hostile_density": ["negative.json", "overflow.json", "utf16.csv",
+                            "long.csv", "missing.json", "dir.json",
+                            "utf16.json", "malformed.json", "deep.json",
+                            "digits.json"],
         "output": ["out.txt", "dir.json", "missing/out.txt"],
     }
     return root, {role: [str(root / name) for name in names]
@@ -94,6 +96,7 @@ def argv(draw, paths):
                    "collapsed"):
         # cross-sections beside the cone dimension n they go with
         sections = [("sphere:2", "3"), ("sphere:4", "5"), ("circle:3", "2"),
+                    ("circle:1e-300", "2"), ("circle:5e-324", "2"),
                     ("sphere:400", "401"), ("sphere:1000", "1001"),
                     ("circle:6.283185307179586", "2"),
                     *((f"spectrum:{p}", "2") for p in paths["spectrum"]),

@@ -227,7 +227,7 @@ class TestAsymptotics:
 
     def test_resonant_k_is_perturbed_not_rejected(self):
         rows = empirical_ratio_convergence(Circle(TWO_PI), 2, [5.0])
-        # the +tol perturbation keeps the sample above the jump
+        # the +RESONANCE_TOL perturbation keeps the sample above the jump
         assert rows[0].pointwise_ratio * 5.0 == pytest.approx(11.0, rel=1e-8)
 
 

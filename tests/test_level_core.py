@@ -82,44 +82,51 @@ def test_count_arrays_report_first_bad_entry(lams, error, message):
 
 
 @pytest.mark.parametrize("X", CROSS_SECTIONS)
-@pytest.mark.parametrize("tol", [1e-9, 0.3, 2.0])
-def test_is_resonant_matches_nearest_search(X, tol):
+@pytest.mark.parametrize("offset", [1e-9, 0.3, 2.0])
+def test_is_resonant_matches_nearest_search(X, offset):
+    # k at random, on each resonance, and `offset` to either side of it:
+    # 1e-9 is RESONANCE_TOL, the edge of the verdict
     n = X.ambient_dim
     rng = np.random.default_rng(9)
     exps = X.resonant_set_upto(25.0)[0].tolist()
     for k in [*rng.uniform(0.0, 25.0, 40), *exps,
-              *(b + 1e-10 for b in exps), *(b + 0.5 for b in exps)]:
-        window = k + max(tol, 1.0)
+              *(b + 1e-10 for b in exps), *(b + 0.5 for b in exps),
+              *(b + side for b in exps for side in (-offset, offset)
+                if b + side >= 0)]:
+        window = k + 1.0
         if eigenvalue_from_exponent(window, n) > X.certified_bound():
             window = exponent_from_eigenvalue(X.certified_bound(), n)
         candidates = X.resonant_set_upto(window)[0].tolist()
         best = min(candidates, key=lambda b: abs(k - b))
         dist = abs(k - best)
-        assert X.is_resonant(k, tol) == (dist <= tol, best, dist), k
+        assert X.is_resonant(k) == (dist <= spectra.RESONANCE_TOL,
+                                    best, dist), k
 
 
 @pytest.mark.parametrize("X", CROSS_SECTIONS)
-@pytest.mark.parametrize("tol", [1e-9, 2.0])
-def test_growth_counts_match_the_three_lookups(X, tol):
+@pytest.mark.parametrize("offset", [1e-9, 2.0])
+def test_growth_counts_match_the_three_lookups(X, offset):
     # hk_bounds reads all three from one level lookup
     n = X.ambient_dim
     exps = X.resonant_set_upto(25.0)[0].tolist()
     for k in [*np.random.default_rng(3).uniform(0.0, 25.0, 40), *exps,
-              *(np.nextafter(b, side) for b in exps for side in (0.0, 99.0))]:
+              *(np.nextafter(b, side) for b in exps for side in (0.0, 99.0)),
+              *(b + offset for b in exps)]:
         lam = eigenvalue_from_exponent(k, n)
-        assert X.growth_counts(k, tol) == (
-            X.counting(lam), X.counting_left(lam), X.is_resonant(k, tol)), k
+        assert X.growth_counts(k) == (
+            X.counting(lam), X.counting_left(lam), X.is_resonant(k)), k
 
 
 def test_growth_counts_fail_as_the_three_lookups():
     X = random_spectrum(3)
     top = exponent_from_eigenvalue(X.certified_bound(), 3)
-    for k, tol in [(top + 1.0, 1e-9), (top - 0.1, 0.5), (2.0, -1.0)]:
+    # past the bound, within RESONANCE_TOL of it, and a negative order
+    for k in [top + 1.0, top - 5e-10, -1.0]:
         with pytest.raises(Exception) as expected:
             lam = eigenvalue_from_exponent(k, 3)
-            X.counting(lam), X.counting_left(lam), X.is_resonant(k, tol)
+            X.counting(lam), X.counting_left(lam), X.is_resonant(k)
         with pytest.raises(expected.type, match=re.escape(str(expected.value))):
-            X.growth_counts(k, tol)
+            X.growth_counts(k)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -139,14 +139,17 @@ class TestResonances:
 
     def test_is_resonant(self):
         X = Circle(TWO_PI)
-        hit, beta, dist = X.is_resonant(2.0, 1e-9)
+        hit, beta, dist = X.is_resonant(2.0)
         assert hit and beta == 2.0
-        miss, beta, dist = X.is_resonant(2.5, 1e-9)
+        miss, beta, dist = X.is_resonant(2.5)
         assert not miss and beta in (2.0, 3.0) and dist == 0.5
 
     def test_is_resonant_near_sphere_eigenvalue(self):
-        hit, beta, _ = RoundSphere(2).is_resonant(0.999999, 1e-3)
+        # the verdict is RESONANCE_TOL = 1e-9 on either side
+        hit, beta, _ = RoundSphere(2).is_resonant(1.0 - 5e-10)
         assert hit and beta == 1.0
+        miss, beta, _ = RoundSphere(2).is_resonant(0.999999)
+        assert not miss and beta == 1.0
 
 
 class TestSpectrumType:
