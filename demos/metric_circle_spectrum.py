@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from coneh import MetricCircleNumeric, hk_bounds
-from coneh.eigensolver import (MetricCircle, assemble, certified_spectrum,
-                               eigenvalues)
+from coneh.eigensolver import assemble, certified_spectrum, eigenvalues
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,8 +23,8 @@ TWO_PI = 2.0 * math.pi
 def main():
     theta = np.linspace(0.0, TWO_PI, 128, endpoint=False)
     density = 0.35 + 0.1 * np.sin(theta) + 0.04 * np.cos(2 * theta)
-    circle = MetricCircle(tuple(density))
-    L = circle.total_length
+    circle = MetricCircleNumeric(density)
+    L = circle.length
     print(f"total length L = {L:.6f}  (2*pi would be the flat plane)")
 
     lam1 = (TWO_PI / L) ** 2
@@ -40,11 +39,10 @@ def main():
         print(f"  {lam:12.8f}  x{mult}   bar = {bar:.2e}   "
               f"oracle = {oracle[max(0, 2 * j - 1)]:.8f}")
 
-    X = MetricCircleNumeric(circle)
     print("\ngrowth dimensions of the cone over this circle:")
     k_res = TWO_PI / L  # first resonant order; h_k jumps from 1 to 3 here
     for k in (0.5, 1.0, 0.999 * k_res, 1.001 * k_res, 4.0):
-        rep = hk_bounds(X, 2, k)
+        rep = hk_bounds(circle, 2, k)
         tag = "resonant" if rep.resonant else f"exact = {rep.exact}"
         print(f"  k = {k:6.3f}:  {rep.lower} <= h_k <= {rep.upper}  ({tag})")
 

@@ -7,8 +7,8 @@ from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import (Circle, CrossSection, ExplicitSpectrum,
                       MetricCircleNumeric, RoundSphere, load_spectrum,
                       spectrum_from_json)
-from .eigensolver import (DiscreteOperator, MetricCircle, assemble,
-                          certified_spectrum, eigenvalues, load_density)
+from .eigensolver import (DiscreteOperator, assemble, certified_spectrum,
+                          eigenvalues, load_density)
 from .growth import (CollapsedReport, EmpiricalRatio, GrowthReport,
                      StaircaseStep, WeylRatio, asymptotic_ratio, ball_volume,
                      cesaro_limit, collapsed_bounds,

@@ -47,7 +47,7 @@ def parse_cross_section(text: str) -> CrossSection:
     if kind == "circle":
         return Circle(_number(float, arg, text))
     if kind == "metric-circle":
-        return MetricCircleNumeric(eigensolver.load_density(arg))
+        return eigensolver.load_density(arg)
     if kind == "spectrum":
         return load_spectrum(arg)
     raise InvalidArgument(f"unknown cross-section kind {kind!r}")

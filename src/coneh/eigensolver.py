@@ -1,10 +1,13 @@
-"""Metric circles: the certified spectrum in closed form, plus a discretization.
+"""Metric circles: the density loader, the certified spectrum, and a
+discretization oracle.
 
-A metric circle with line element a(theta) dtheta is isometric to the round
-circle of its total length L, so its Laplace spectrum is (2*pi*j/L)^2 with
-multiplicities 1, 2, 2, ...  ``certified_spectrum`` returns that closed form
-with error bars covering only the float rounding of L and of each
-eigenvalue.
+``load_density`` reads density samples from a JSON or CSV file into a
+``spectra.MetricCircleNumeric``, which validates them and takes the total
+length L once.  A metric circle with line element a(theta) dtheta is
+isometric to the round circle of length L, so its Laplace spectrum is
+(2*pi*j/L)^2 with multiplicities 1, 2, 2, ...  ``certified_spectrum``
+returns that closed form with error bars covering only the float rounding
+of L and of each eigenvalue.
 
 The finite-difference discretization (``assemble`` / ``eigenvalues``: a
 conservative second-difference operator on a uniform arclength grid of m
@@ -16,55 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .spectra import (ExplicitSpectrum, MetricCircleNumeric, _finite_number,
+from .spectra import (ExplicitSpectrum, MetricCircleNumeric, _numbers,
                       _read_json, _read_text)
-
-
-@dataclass(frozen=True)
-class MetricCircle:
-    """Positive density a(theta) sampled uniformly on [0, 2*pi).
-
-    ``total_length`` is the integral of the density; it may not exceed
-    2*pi (cone admissibility of the cross-section).
-    """
-
-    density: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.density) < 4:
-            raise InvalidArgument("need at least 4 density samples")
-        for i, a in enumerate(self.density):
-            if not math.isfinite(a):
-                raise InvalidArgument(f"density sample {i} must be finite, got {a}")
-            if a <= 0:
-                raise InvalidArgument(
-                    f"density sample {i} must be strictly positive, got {a}")
-        if self.total_length > 2.0 * math.pi * (1.0 + 1e-12):
-            raise InvalidArgument(
-                f"total length {self.total_length} exceeds 2*pi")
-
-    @property
-    def total_length(self) -> float:
-        # periodic rectangle rule == trapezoid rule on a closed curve; fsum
-        # rounds the sample sum once, or raises where it passes the float
-        # range, and then the length is past 2*pi too
-        try:
-            total = math.fsum(self.density)
-        except OverflowError:
-            total = math.inf
-        return 2.0 * math.pi * total / len(self.density)
-
-    @classmethod
-    def constant(cls, length: float) -> "MetricCircle":
-        """The circle of the given length as 64 equal density samples."""
-        return cls(tuple([length / (2.0 * math.pi)] * 64))
 
 
 @dataclass(frozen=True)
@@ -96,7 +58,7 @@ class DiscreteOperator:
         return A
 
 
-def assemble(circle: MetricCircle, m: int) -> DiscreteOperator:
+def assemble(circle: MetricCircleNumeric, m: int) -> DiscreteOperator:
     """Discretize -d^2/ds^2 on the uniform arclength grid of m points.
 
     The variable density enters through the arclength map only (a 1D
@@ -105,7 +67,7 @@ def assemble(circle: MetricCircle, m: int) -> DiscreteOperator:
     """
     if m < 16 or m & (m - 1) != 0:
         raise InvalidArgument(f"m must be a power of two >= 16, got {m}")
-    h = circle.total_length / m
+    h = circle.length / m
     return DiscreteOperator(m, tuple([1.0 / (h * h)] * m))
 
 
@@ -128,22 +90,21 @@ def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     return w[:count]
 
 
-def certified_spectrum(circle: MetricCircle, lambda_max: float
+def certified_spectrum(circle: MetricCircleNumeric, lambda_max: float
                        ) -> tuple[ExplicitSpectrum, list[float]]:
     """All eigenvalues <= lambda_max as a level table, with one error bar
     per level.
 
-    The closed form of the round circle of length ``circle.total_length``;
-    each bar bounds the float rounding of its eigenvalue (0 for the kernel).
+    The closed form of the round circle of length ``circle.length``; each
+    bar bounds the float rounding of its eigenvalue (0 for the kernel).
     """
-    X = MetricCircleNumeric(circle)
-    spec = X.spectrum_upto(lambda_max)
-    return spec, X.error_bars(spec)
+    spec = circle.spectrum_upto(lambda_max)
+    return spec, circle.error_bars(spec)
 
 
 # -- density file interchange ----------------------------------------------
 
-def load_density(path: str) -> MetricCircle:
+def load_density(path: str) -> MetricCircleNumeric:
     """Read a density from JSON (plain array) or CSV (theta_index, a_value).
 
     Every error is InvalidArgument naming the file; a sample that is not a
@@ -155,11 +116,9 @@ def load_density(path: str) -> MetricCircle:
         if is_json:
             if not isinstance(data, list):
                 raise InvalidArgument("expected a JSON array of samples")
-            bad = [i for i, v in enumerate(data) if not _finite_number(v)]
-            if bad:
-                raise InvalidArgument(f"sample {bad[0]} must be a finite "
-                                      f"number, got {json.dumps(data[bad[0]])}")
-            return MetricCircle(tuple(float(v) for v in data))
+            return MetricCircleNumeric(_numbers(
+                "sample {}".format, data,
+                lambda v: np.asarray_chkfinite(v, dtype=float)))
         samples: list[tuple[int, float]] = []
         rows = csv.reader(io.StringIO(data, newline=""))
         for row in rows:
@@ -177,6 +136,6 @@ def load_density(path: str) -> MetricCircle:
                     f"finite value, got {','.join(row)!r}")
             samples.append((index, value))
         samples.sort()
-        return MetricCircle(tuple(v for _, v in samples))
+        return MetricCircleNumeric(v for _, v in samples)
     except (InvalidArgument, csv.Error) as exc:
         raise InvalidArgument(f"{path}: {exc}") from exc

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegenerateInput, InvalidArgument, NumericFailure,
                      PreconditionViolation)
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
-from .spectra import _finite_number, _read_json
+from .spectra import _json_number, _json_object, _read_json
 
 
 class Mode(NamedTuple):
@@ -89,15 +89,6 @@ class ConeHarmonic:
         }
 
 
-def _json_number(value, what: str, integral: bool = False):
-    """A finite JSON number (integral when asked) as an int or float."""
-    if not (_finite_number(value) and (not integral or value % 1 == 0)):
-        kind = "an integer" if integral else "a finite number"
-        raise InvalidArgument(
-            f"{what} must be {kind}, got {json.dumps(value)}")
-    return int(value) if integral else float(value)
-
-
 def cone_harmonic_from_json(doc: dict, source: str = "<json>"
                             ) -> ConeHarmonic:
     """Build a ConeHarmonic from the documented JSON layout.
@@ -107,11 +98,7 @@ def cone_harmonic_from_json(doc: dict, source: str = "<json>"
     violations are rejected with the source and the mode index.
     """
     try:
-        if not isinstance(doc, dict):
-            raise InvalidArgument("a harmonic document must be a JSON object")
-        for key in ("n", "modes"):
-            if key not in doc:
-                raise InvalidArgument(f"missing required key '{key}'")
+        _json_object(doc, "harmonic", ("n", "modes"))
         if not isinstance(doc["modes"], list):
             raise InvalidArgument(
                 f"'modes' must be a list, got {json.dumps(doc['modes'])}")

@@ -14,7 +14,7 @@ from . import eigensolver, gridcheck, growth, harmonics
 from .errors import InvalidArgument
 from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .harmonics import ConeHarmonic, Mode
-from .spectra import Circle, RoundSphere
+from .spectra import Circle, MetricCircleNumeric, RoundSphere
 
 
 def _random_mode_sum(rng: np.random.Generator, n: int = 2,
@@ -70,7 +70,7 @@ def run_selftest(seed: int = 42) -> dict:
 
     # certified eigensolver on a constant-density circle
     spec, bars = eigensolver.certified_spectrum(
-        eigensolver.MetricCircle.constant(math.pi), 17.0)
+        MetricCircleNumeric.constant(math.pi), 17.0)
     ok = ([(round(lam, 6), m) for lam, m in spec.entries]
           == [(0.0, 1), (4.0, 2), (16.0, 2)]) and all(
         b <= 1e-6 * max(1.0, lam)

@@ -8,11 +8,13 @@ variant supplies three vectorised primitives: ``level_eigenvalue(i)``,
 ``level_count(i)`` (the cumulative multiplicity, exact) and
 ``level_lookup(lam)``, a closed-form sqrt inverse for ``RoundSphere(d)``
 and ``Circle(L)`` (and ``MetricCircleNumeric``, a variable-density circle
-counted as the round circle of its length) and ``np.searchsorted`` for
-``ExplicitSpectrum``, a user-supplied truncated spectrum.  ``CrossSection``
-writes counting, the resonant set, the resonance lookup and the Cesaro
-sums once on top of them (spheres and circles sum in closed form), and
-truncates any spectrum to an ``ExplicitSpectrum``.
+built from its density samples and counted as the round circle of its
+length) and ``np.searchsorted`` for ``ExplicitSpectrum``, a user-supplied
+truncated spectrum.  ``CrossSection`` writes counting, the resonant set,
+the resonance lookup and the Cesaro sums once on top of them (spheres and
+circles sum in closed form), and truncates any spectrum to an
+``ExplicitSpectrum``.  Spectrum, density and harmonic files share one set
+of JSON checks.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -97,6 +99,15 @@ def in_float_range(direct, log, what: str) -> float:
         raise NumericFailure(
             f"{what} is exp({log_value:.6g}), outside the float range")
     return math.exp(log_value)
+
+
+def _upper_probe(lam):
+    """The level lookup's probe for N_X(lam): lam widened by _EQUAL_RTOL,
+    so that an eigenvalue within rounding above lam counts as equal to it.
+    It stops at the largest float, with no overflow warning: no finite
+    eigenvalue lies past it, and a table's lookup stays inside the table."""
+    with np.errstate(over="ignore"):
+        return np.minimum(lam * (1.0 + _EQUAL_RTOL), sys.float_info.max)
 
 
 def _exact_array(values) -> np.ndarray:
@@ -263,7 +274,7 @@ class CrossSection:
         they fit, Python ints beyond."""
         lam = np.asarray(lam, dtype=float)
         self._check_certified_array(lam)
-        return self.level_count(self.level_lookup(lam * (1.0 + _EQUAL_RTOL)))
+        return self.level_count(self.level_lookup(_upper_probe(lam)))
 
     def count_left_array(self, lam) -> np.ndarray:
         """Eigenvalues strictly below each entry of lam, with multiplicity."""
@@ -291,7 +302,7 @@ class CrossSection:
             raise InvalidArgument(f"lambda_max must be positive, got {lambda_max}")
         self._check_certified(lambda_max)
         measure = self.measure()
-        top = self.level_lookup(np.array([lambda_max * (1.0 + _EQUAL_RTOL)]))
+        top = self.level_lookup(_upper_probe(np.array([lambda_max])))
         _check_level_count(top[0] + 1, f"the spectrum up to {lambda_max}",
                            self.max_levels())
         levels = np.arange(top[0] + 1)
@@ -385,7 +396,7 @@ class CrossSection:
         window = self._resonance_window(k)
         # the probes of count_array, count_left_array and is_resonant
         levels = self.level_lookup(np.array([
-            lam * (1.0 + _EQUAL_RTOL),
+            _upper_probe(lam),
             np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf), lam]))
         upper, left = self.level_count(levels[:2]).tolist()
         return upper, left, self._nearest_resonance(k, window, levels[2])
@@ -455,9 +466,11 @@ class RoundSphere(CrossSection):
         return np.maximum(rising * (2 * l + d) // math.factorial(d), 0)
 
     def level_lookup(self, lam):
-        d1 = self.d - 1
-        root = np.sqrt(d1 * d1 + 4.0 * np.maximum(lam, 0.0))
-        return self._settle(np.floor((root - d1) / 2.0), lam)
+        # the root of l^2 + (d-1) l = lam, halved inside the sqrt so that
+        # no lam up to the largest float overflows
+        half = 0.5 * (self.d - 1)
+        root = np.sqrt(half * half + np.maximum(lam, 0.0))
+        return self._settle(np.floor(root - half), lam)
 
     def _cesaro_ties(self, orders: int, m: int) -> bool:
         return False  # the orders i + 1/4 lie 1/4 from the integer exponents
@@ -621,42 +634,87 @@ class ExplicitSpectrum(CrossSection):
 
 
 class MetricCircleNumeric(Circle):
-    """A variable-density metric circle, counted as the round circle of its length.
+    """A metric circle with line element a(theta) dtheta, from positive
+    samples of the density a taken uniformly on [0, 2*pi).
 
-    A circle with line element a(theta) dtheta is isometric to the round
-    circle of its total length L, so the spectrum is (2*pi*j/L)^2 and the
-    only numeric input is L, a sum of the density samples.  Every length
-    that ``eigensolver.MetricCircle`` accepts is accepted, up to
-    2*pi*(1 + 1e-12), just past the bound ``Circle`` enforces.
+    It is isometric to the round circle of its total length L, so the
+    spectrum is (2*pi*j/L)^2 and the only numeric input is L, taken once
+    from the samples by the periodic rectangle rule.  L may exceed 2*pi
+    (cone admissibility) by a relative 1e-12, past ``Circle``'s bound.
     """
 
-    def __init__(self, circle):
-        # `circle` is an eigensolver.MetricCircle, which validated its length
-        object.__setattr__(self, "length", circle.total_length)
+    density: tuple[float, ...]
+
+    def __init__(self, density):
+        density = tuple(map(float, density))
+        if len(density) < 4:
+            raise InvalidArgument("need at least 4 density samples")
+        for i, a in enumerate(density):
+            if not math.isfinite(a):
+                raise InvalidArgument(f"density sample {i} must be finite, got {a}")
+            if a <= 0:
+                raise InvalidArgument(
+                    f"density sample {i} must be strictly positive, got {a}")
+        # fsum rounds the sample sum once, or raises where it passes the
+        # float range, and then the length is past 2*pi too
+        try:
+            total = math.fsum(density)
+        except OverflowError:
+            total = math.inf
+        length = 2.0 * math.pi * total / len(density)
+        if length > 2.0 * math.pi * (1.0 + 1e-12):
+            raise InvalidArgument(f"total length {length} exceeds 2*pi")
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "length", length)
+
+    @classmethod
+    def constant(cls, length: float) -> "MetricCircleNumeric":
+        """The circle of the given length as 64 equal density samples."""
+        return cls([length / (2.0 * math.pi)] * 64)
 
     def error_bars(self, spectrum: ExplicitSpectrum) -> list[float]:
         """One bar per level of `spectrum`: the float rounding of lambda."""
         return [_ROUNDING_RTOL * lam for lam, _ in spectrum.entries]
 
 
-# -- spectrum JSON interchange ---------------------------------------------
+# -- JSON interchange: spectrum, density and harmonic files -----------------
 
 def _finite_number(value) -> bool:
     """Whether a parsed JSON value is a number that a finite float holds."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _numbers(key: str, values: list, convert) -> np.ndarray:
+def _json_number(value, what: str, integral: bool = False):
+    """A finite JSON number (integral when asked) as an int or float."""
+    if not (_finite_number(value) and (not integral or value % 1 == 0)):
+        kind = "an integer" if integral else "a finite number"
+        raise InvalidArgument(
+            f"{what} must be {kind}, got {json.dumps(value)}")
+    return int(value) if integral else float(value)
+
+
+def _json_object(doc, kind: str, keys):
+    """Check that a `kind` document is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"a {kind} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InvalidArgument(f"missing required key '{key}'")
+
+
+def _numbers(name, values: list, convert) -> np.ndarray:
     """`convert(values)` once every value is a JSON number, else an error
-    naming the first entry whose `key` is not a finite number."""
+    naming, by `name(i)`, the first entry i that is not a finite number.
+    `convert` raises ValueError (or OverflowError, for an integer past the
+    float range) to send the values to that scan."""
     if set(map(type, values)) <= {int, float}:
         try:
             return convert(values)
-        except OverflowError:  # an integer past the float range
+        except (OverflowError, ValueError):
             pass
     i = next(i for i, v in enumerate(values) if not _finite_number(v))
     raise InvalidArgument(
-        f"entry {i}: '{key}' must be a finite number, got {json.dumps(values[i])}")
+        f"{name(i)} must be a finite number, got {json.dumps(values[i])}")
 
 
 def _columns(entries) -> tuple[list, list]:
@@ -696,24 +754,17 @@ def spectrum_from_json(doc: dict, source: str = "<json>") -> ExplicitSpectrum:
     offending entry index in the message.
     """
     try:
-        if not isinstance(doc, dict):
-            raise InvalidArgument("a spectrum document must be a JSON object")
-        for key in ("ambient_dim", "measure", "entries", "truncation_bound"):
-            if key not in doc:
-                raise InvalidArgument(f"missing required key '{key}'")
-        dim = doc["ambient_dim"]
-        if not (_finite_number(dim) and dim % 1 == 0):
-            raise InvalidArgument(
-                f"'ambient_dim' must be an integer, got {json.dumps(dim)}")
-        for key in ("measure", "truncation_bound"):
-            if not _finite_number(doc[key]):
-                raise InvalidArgument(
-                    f"'{key}' must be a finite number, got {json.dumps(doc[key])}")
+        _json_object(doc, "spectrum",
+                     ("ambient_dim", "measure", "entries", "truncation_bound"))
+        dim = _json_number(doc["ambient_dim"], "'ambient_dim'", integral=True)
+        measure = _json_number(doc["measure"], "'measure'")
+        bound = _json_number(doc["truncation_bound"], "'truncation_bound'")
         lams, mults = _columns(doc["entries"])
         return ExplicitSpectrum(
-            int(dim), _numbers("lambda", lams, lambda v: np.array(v, dtype=float)),
-            _numbers("mult", mults, _exact_array),
-            float(doc["truncation_bound"]), float(doc["measure"]))
+            dim, _numbers("entry {}: 'lambda'".format, lams,
+                          lambda v: np.array(v, dtype=float)),
+            _numbers("entry {}: 'mult'".format, mults, _exact_array),
+            bound, measure)
     except InvalidArgument as exc:
         raise InvalidArgument(f"{source}: {exc}") from exc
 

@@ -14,6 +14,7 @@ from coneh.cli import (EXIT_OK, EXIT_RESOLUTION, EXIT_USAGE,
 from coneh.spectra import Circle, ExplicitSpectrum, RoundSphere
 
 TWO_PI = 2.0 * math.pi
+MAX_FLOAT = repr(sys.float_info.max)
 
 
 def run(capsys, *argv):
@@ -281,15 +282,44 @@ class TestExitCodes:
         ["frequency", "--harmonic", "HARMONIC", "--s", "nan", "2"],
         ["three-circles", "--harmonic", "HARMONIC", "--k", "nan", "--s", "1"],
         ["three-circles", "--harmonic", "HARMONIC", "--k", "2", "--s", "inf"],
+        # the largest float lies past level 2**53; widening it by the
+        # equality tolerance must not overflow on the way
+        ["count", "--cross-section", "circle:3", "--lambda", MAX_FLOAT],
+        ["count", "--cross-section", "sphere:2", "--lambda", MAX_FLOAT],
+        ["weyl", "--cross-section", "sphere:2", "--n", "3",
+         "--lambda", MAX_FLOAT],
     ])
     def test_usage_error_on_non_finite_input(self, capsys, harmonic_file,
                                              argv):
         argv = [harmonic_file if a == "HARMONIC" else a for a in argv]
-        code, doc = run_json(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(capsys, *argv)
         assert code == EXIT_USAGE
         assert doc["schema"] == "coneh/1"
         assert doc["error"]["type"] == "InvalidArgument"
         assert doc["error"]["exit_code"] == EXIT_USAGE
+
+    def test_spectrum_file_certified_to_the_largest_float(self, capsys,
+                                                          tmp_path):
+        # the lookup's probe past lambda must stop at the largest float,
+        # or the lookup reads past the end of the table
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "measure": 1.0,
+            "truncation_bound": sys.float_info.max,
+            "entries": [{"lambda": 0.0, "mult": 1},
+                        {"lambda": 4.0, "mult": 2}]}))
+        cs = f"spectrum:{path}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count = run_json(capsys, "count", "--cross-section", cs,
+                             "--lambda", MAX_FLOAT)
+            spectrum = run_json(capsys, "spectrum", "--cross-section", cs,
+                                "--lambda-max", MAX_FLOAT)
+        assert count[0] == spectrum[0] == EXIT_OK
+        assert count[1]["counts"][0]["count"] == 3
+        assert [e["mult"] for e in spectrum[1]["spectrum"]["entries"]] == [1, 2]
 
     @pytest.mark.parametrize("argv", [
         ["verify-grid", "--mode", "1", "1", "1", "--length", "-1"],
@@ -375,6 +405,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, text, where", [
         ("string.json", '[0.5, 0.5, "x", 0.5]', "sample 2"),
+        ("quoted.json", '[0.5, 0.5, "x", 0.5]',
+         'quoted.json: sample 2 must be a finite number, got "x"'),
         ("nan.json", "[0.5, 0.5, NaN, 0.5]", "sample 2"),
         ("huge.json", "[0.5, 1e400, 0.5, 0.5]", "sample 1"),
         ("bool.json", "[0.5, 0.5, 0.5, true]", "sample 3"),
@@ -451,8 +483,9 @@ class TestExitCodes:
     def test_verify_grid_is_scale_free(self, capsys, argv, unscaled):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run(capsys, "verify-grid", *argv)
-        assert capsys.readouterr().err == ""
+            code = main(["verify-grid", *argv])
+        out, err = capsys.readouterr()
+        assert err == ""
         doc = json.loads(out, parse_constant=pytest.fail)
         assert code == EXIT_OK and doc["order_in_contract"]
         assert 1.8 <= doc["fitted_order"] <= 2.2
@@ -467,12 +500,12 @@ class TestExitCodes:
         # with m, and the non-monotone warning is the only one
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out = run(capsys, "verify-grid", "--mode", "1", "1", "1",
-                            "--length", "1e308", "--resolutions", "4", "8",
-                            "16")
+            code = main(["verify-grid", "--mode", "1", "1", "1",
+                         "--length", "1e308", "--resolutions", "4", "8", "16"])
+        out, err = capsys.readouterr()
         assert [w.category for w in caught] == [UserWarning]
         assert "non-monotone" in str(caught[0].message)
-        assert capsys.readouterr().err == ""
+        assert err == ""
         doc = json.loads(out, parse_constant=pytest.fail)
         assert code == EXIT_VERIFICATION and not doc["order_in_contract"]
         assert all(map(math.isfinite, doc["residual_max_norms"]))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coneh import InvalidArgument, MetricCircleNumeric
-from coneh.eigensolver import (MetricCircle, assemble, certified_spectrum,
-                               eigenvalues, load_density)
+from coneh.eigensolver import (assemble, certified_spectrum, eigenvalues,
+                               load_density)
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,53 +17,53 @@ TWO_PI = 2.0 * math.pi
 @pytest.fixture(scope="module")
 def half_circle_spectrum():
     """Certified spectrum of the constant circle of length pi, up to 17."""
-    return certified_spectrum(MetricCircle.constant(math.pi), 17.0)
+    return certified_spectrum(MetricCircleNumeric.constant(math.pi), 17.0)
 
 
 class TestMetricCircle:
     def test_total_length_constant(self):
-        c = MetricCircle.constant(math.pi)
-        assert c.total_length == pytest.approx(math.pi, rel=1e-15)
+        c = MetricCircleNumeric.constant(math.pi)
+        assert c.length == pytest.approx(math.pi, rel=1e-15)
 
     def test_rejects_nonpositive_density(self):
         with pytest.raises(InvalidArgument):
-            MetricCircle((1.0, 1.0, 0.0, 1.0))
+            MetricCircleNumeric((1.0, 1.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_density(self, bad):
         with pytest.raises(InvalidArgument, match="sample 2 must be finite"):
-            MetricCircle((1.0, 1.0, bad, 1.0))
+            MetricCircleNumeric((1.0, 1.0, bad, 1.0))
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(InvalidArgument):
-            MetricCircle((1.0, 1.0))
+            MetricCircleNumeric((1.0, 1.0))
 
     def test_rejects_overlong(self):
         with pytest.raises(InvalidArgument, match="2\\*pi"):
-            MetricCircle.constant(TWO_PI + 0.01)
+            MetricCircleNumeric.constant(TWO_PI + 0.01)
 
 
 class TestDiscreteOperator:
     def test_symmetric_with_zero_row_sums(self):
-        op = assemble(MetricCircle.constant(math.pi), 32)
+        op = assemble(MetricCircleNumeric.constant(math.pi), 32)
         A = op.dense()
         assert np.allclose(A, A.T)
         assert np.allclose(A.sum(axis=1), 0.0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(InvalidArgument, match="power of two"):
-            assemble(MetricCircle.constant(math.pi), 48)
+            assemble(MetricCircleNumeric.constant(math.pi), 48)
 
     def test_discrete_eigenvalues_match_sine_formula(self):
         m, L = 64, TWO_PI
-        w = eigenvalues(assemble(MetricCircle.constant(L), m), m)
+        w = eigenvalues(assemble(MetricCircleNumeric.constant(L), m), m)
         h = L / m
         exact = sorted((2.0 / h ** 2) * (1.0 - math.cos(TWO_PI * j / m))
                        for j in range(m))
         assert w == pytest.approx(exact, rel=1e-10, abs=1e-9)
 
     def test_rejects_bad_count(self):
-        op = assemble(MetricCircle.constant(math.pi), 16)
+        op = assemble(MetricCircleNumeric.constant(math.pi), 16)
         with pytest.raises(InvalidArgument):
             eigenvalues(op, 17)
         with pytest.raises(InvalidArgument):
@@ -83,7 +83,7 @@ class TestCertifiedSpectrum:
         assert spec.entries[0] == (0.0, 1)
 
     def test_full_circle_first_mode(self):
-        spec, bars = certified_spectrum(MetricCircle.constant(TWO_PI), 1.5)
+        spec, bars = certified_spectrum(MetricCircleNumeric.constant(TWO_PI), 1.5)
         assert [m for _, m in spec.entries] == [1, 2]
         assert spec.entries[1][0] == pytest.approx(1.0, abs=bars[1])
 
@@ -91,8 +91,8 @@ class TestCertifiedSpectrum:
         # a 1D circle is isometric to the round circle of its length
         theta = np.linspace(0, TWO_PI, 64, endpoint=False)
         bumpy = 0.2 + 0.05 * np.sin(theta) + 0.02 * np.cos(3 * theta)
-        c = MetricCircle(tuple(bumpy))
-        L = c.total_length
+        c = MetricCircleNumeric(bumpy)
+        L = c.length
         lam1 = (TWO_PI / L) ** 2
         spec, bars = certified_spectrum(c, 1.2 * lam1)
         assert [m for _, m in spec.entries] == [1, 2]
@@ -100,7 +100,7 @@ class TestCertifiedSpectrum:
             lam1, abs=max(bars[1], 1e-6 * lam1))
 
     def test_full_circle_third_mode(self):
-        spec, bars = certified_spectrum(MetricCircle.constant(TWO_PI), 9.5)
+        spec, bars = certified_spectrum(MetricCircleNumeric.constant(TWO_PI), 9.5)
         assert [m for _, m in spec.entries] == [1, 2, 2, 2]
         for (lam, _), exact, bar in zip(spec.entries, [0.0, 1.0, 4.0, 9.0],
                                         bars):
@@ -113,12 +113,12 @@ class TestCertifiedSpectrum:
             raise AssertionError("certified_spectrum ran the discretization")
         monkeypatch.setattr(es, "assemble", forbidden)
         monkeypatch.setattr(es, "eigenvalues", forbidden)
-        spec, bars = certified_spectrum(MetricCircle.constant(TWO_PI), 1e4)
+        spec, bars = certified_spectrum(MetricCircleNumeric.constant(TWO_PI), 1e4)
         assert len(spec.entries) == len(bars) == 101
 
     def test_rejects_nonpositive_lambda_max(self):
         with pytest.raises(InvalidArgument):
-            certified_spectrum(MetricCircle.constant(math.pi), -1.0)
+            certified_spectrum(MetricCircleNumeric.constant(math.pi), -1.0)
 
 
 @st.composite
@@ -136,7 +136,7 @@ class TestClosedFormProperties:
     @given(densities())
     def test_bars_bound_exact_spectrum_and_match_oracle(self, case):
         dens, modes = case
-        c = MetricCircle(tuple(dens))
+        c = MetricCircleNumeric(dens)
         x = Fraction(math.fsum(dens)) / len(dens)  # L / (2*pi), exactly
         lam_max = float((modes + Fraction(1, 2)) ** 2 / x ** 2)
         spec, bars = certified_spectrum(c, lam_max)
@@ -159,7 +159,7 @@ class TestClosedFormProperties:
 
 @pytest.fixture(scope="module")
 def X():
-    return MetricCircleNumeric(MetricCircle.constant(math.pi))
+    return MetricCircleNumeric.constant(math.pi)
 
 
 class TestMetricCircleNumeric:
@@ -189,15 +189,14 @@ class TestMetricCircleNumeric:
         assert rep.exact == 3 and not rep.resonant
 
     def test_certified_everywhere(self):
-        X = MetricCircleNumeric(MetricCircle.constant(math.pi))
+        X = MetricCircleNumeric.constant(math.pi)
         assert X.certified_bound() == math.inf
         assert X.counting(1e12) == 1 + 2 * 10 ** 6 // 2
 
     def test_accepts_every_metric_circle_length(self):
-        # MetricCircle admits lengths up to 2*pi*(1 + 1e-12), past Circle's bound
-        c = MetricCircle.constant(TWO_PI * (1.0 + 1e-12))
-        X = MetricCircleNumeric(c)
-        assert X.measure() == c.total_length > TWO_PI + 1e-15
+        # lengths up to 2*pi*(1 + 1e-12) are admitted, past Circle's bound
+        X = MetricCircleNumeric.constant(TWO_PI * (1.0 + 1e-12))
+        assert X.measure() == X.length > TWO_PI + 1e-15
         lam1 = X.spectrum_upto(2.0).entries[1][0]
         assert lam1 < 1.0
         assert X.counting(lam1) == 3 and X.counting_left(lam1) == 1

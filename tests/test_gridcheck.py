@@ -114,7 +114,7 @@ class TestLaplacianResidual:
         assert res_max < 1e-2
 
 
-class TestRowBlocks:
+class TestFactoredCheck:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.05, 20.0), st.integers(1, 6),

@@ -59,6 +59,22 @@ class TestConeHarmonicType:
         v = cone_harmonic_from_json(u.to_json())
         assert v == u
 
+    @pytest.mark.parametrize("doc, message", [
+        ([2, []], "a harmonic document must be a JSON object"),
+        ({"n": 2}, "missing required key 'modes'"),
+        ({"modes": []}, "missing required key 'n'"),
+        ({"n": 2.5, "modes": []}, "'n' must be an integer, got 2.5"),
+        ({"n": "2", "modes": []}, "'n' must be an integer, got \"2\""),
+        ({"n": 2, "modes": [], "constant": None},
+         "'constant' must be a finite number, got null"),
+        ({"n": 2, "modes": [{"alpha": 1.0, "c": 1.0, "mode_id": 1.5}]},
+         "mode 0: 'mode_id' must be an integer, got 1.5"),
+    ])
+    def test_json_errors_name_source_and_field(self, doc, message):
+        with pytest.raises(InvalidArgument) as exc:
+            cone_harmonic_from_json(doc, source="u.json")
+        assert str(exc.value) == f"u.json: {message}"
+
 
 class TestClosedForms:
     # two modes: c = 1 at alpha = 1 and c = 1 at alpha = 2, evaluated at s = 1

@@ -19,7 +19,6 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument, NumericFailure,
                    ResolutionInsufficient, RoundSphere,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_staircase, spectra)
-from coneh.eigensolver import MetricCircle
 
 from .oracles import cesaro_offset_walk, per_order_total
 
@@ -220,7 +219,7 @@ CESARO_SECTIONS = st.one_of(
         .map(lambda p: _circle(p, q))),
     st.sampled_from([(4, 5), (4, 7), (4, 9), (8, 9), (4, 11), (8, 11)])
     .map(lambda pq: _circle(*pq)),
-    st.just(spectra.MetricCircleNumeric(MetricCircle((0.9, 0.3, 0.5, 0.7)))),
+    st.just(spectra.MetricCircleNumeric((0.9, 0.3, 0.5, 0.7))),
     st.integers(2, 4).flatmap(lambda n: st.integers(1, 40).flatmap(
         lambda size: st.builds(
             _repeated_gaps, st.just(n),
@@ -287,7 +286,7 @@ def test_cesaro_offset_fails_past_its_last_halving():
                                           (11, 10), (12, 1), (12, 7)]),
     *(RoundSphere(d) for d in range(1, 6)),
     # a metric circle is counted as the round circle of its length
-    spectra.MetricCircleNumeric(MetricCircle((1.0, 0.3, 2.0, 0.7)))], ids=repr)
+    spectra.MetricCircleNumeric((1.0, 0.3, 2.0, 0.7))], ids=repr)
 @pytest.mark.parametrize("k", [0.3, 1.0, 2.5, 40.0, 1999.7, 99_500.3, 999_500.3])
 def test_closed_form_cesaro_offset_matches_the_walk(X, k):
     assert X.cesaro_offset(k) == cesaro_offset_walk(X, k)

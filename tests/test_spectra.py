@@ -11,7 +11,6 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
                    MetricCircleNumeric, NumericFailure, ResolutionInsufficient,
                    RoundSphere, eigenvalue_from_exponent, load_spectrum,
                    spectrum_from_json, spectra)
-from coneh.eigensolver import MetricCircle
 
 from . import oracles
 
@@ -558,7 +557,7 @@ CROSS_SECTIONS = st.one_of(
     st.floats(0.1, TWO_PI).map(Circle),
     # samples of at most 1 keep the length within 2*pi
     st.lists(st.floats(0.05, 1.0), min_size=4, max_size=64).map(
-        lambda a: MetricCircleNumeric(MetricCircle(tuple(a)))),
+        MetricCircleNumeric),
     st.lists(st.tuples(st.floats(1e-3, 50.0), st.integers(1, 10 ** 6)),
              min_size=1, max_size=60).map(random_explicit),
 )
