@@ -16,8 +16,7 @@ import sys
 
 from . import __version__, eigensolver, gridcheck, growth, harmonics, selftest
 from .errors import ConehError, InvalidArgument, NumericFailure
-from .spectra import (Circle, CrossSection, MetricCircleNumeric, RoundSphere,
-                      load_spectrum)
+from .spectra import Circle, CrossSection, RoundSphere, load_spectrum
 
 SCHEMA = "coneh/1"
 
@@ -94,8 +93,7 @@ def _cs_config(args) -> dict:
 
 def cmd_spectrum(args) -> int:
     X = parse_cross_section(args.cross_section)
-    spec = X.spectrum_upto(args.lam_max)
-    bars = X.error_bars(spec) if isinstance(X, MetricCircleNumeric) else None
+    spec, bars = eigensolver.certified_spectrum(X, args.lam_max)
     spectrum = spec.to_json(error_bars=bars)
     doc = _report(_cs_config(args) | {"lambda_max": args.lam_max},
                   {"spectrum": spectrum})

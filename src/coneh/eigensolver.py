@@ -6,8 +6,9 @@ discretization oracle.
 length L once.  A metric circle with line element a(theta) dtheta is
 isometric to the round circle of length L, so its Laplace spectrum is
 (2*pi*j/L)^2 with multiplicities 1, 2, 2, ...  ``certified_spectrum``
-returns that closed form with error bars covering only the float rounding
-of L and of each eigenvalue.
+returns the spectrum of any cross-section up to a bound with its error
+bars; on a metric circle, that closed form with bars covering only the
+float rounding of L and of each eigenvalue.
 
 The finite-difference discretization (``assemble`` / ``eigenvalues``: a
 conservative second-difference operator on a uniform arclength grid of m
@@ -25,36 +26,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .spectra import (ExplicitSpectrum, MetricCircleNumeric, _numbers,
-                      _read_json, _read_text)
+from .spectra import (CrossSection, ExplicitSpectrum, MetricCircleNumeric,
+                      _numbers, _read_json, _read_text)
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Symmetric periodic second-difference operator from edge conductances.
+    """Symmetric periodic second difference on `size` points `step` apart.
 
-    Row i couples to its two neighbours with -conductance[i-1] and
-    -conductance[i]; the diagonal is their sum, so row sums vanish and
-    constants lie in the kernel exactly.
+    Row i couples to its two neighbours with -1/step^2 and holds twice
+    that on the diagonal, so row sums vanish and constants lie in the
+    kernel exactly.
     """
 
     size: int
-    conductances: tuple[float, ...]  # edge (i, i+1 mod size)
-
-    def __post_init__(self):
-        if len(self.conductances) != self.size:
-            raise InvalidArgument("one conductance per edge required")
-        if min(self.conductances) <= 0:
-            raise InvalidArgument("conductances must be positive")
+    step: float
 
     def dense(self) -> np.ndarray:
-        m = self.size
-        c = np.asarray(self.conductances)
+        m, c = self.size, 1.0 / (self.step * self.step)
         A = np.zeros((m, m))
         i = np.arange(m)
         A[i, (i + 1) % m] = -c
         A[(i + 1) % m, i] = -c
-        A[i, i] = c + np.roll(c, 1)
+        A[i, i] = 2.0 * c
         return A
 
 
@@ -62,13 +56,12 @@ def assemble(circle: MetricCircleNumeric, m: int) -> DiscreteOperator:
     """Discretize -d^2/ds^2 on the uniform arclength grid of m points.
 
     The variable density enters through the arclength map only (a 1D
-    circle is isometric to the round circle of the same length), so all
-    edges have length h = L/m and conductance 1/h^2.
+    circle is isometric to the round circle of the same length), so the
+    grid step is h = L/m everywhere.
     """
     if m < 16 or m & (m - 1) != 0:
         raise InvalidArgument(f"m must be a power of two >= 16, got {m}")
-    h = circle.length / m
-    return DiscreteOperator(m, tuple([1.0 / (h * h)] * m))
+    return DiscreteOperator(m, circle.length / m)
 
 
 def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
@@ -90,16 +83,16 @@ def eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
     return w[:count]
 
 
-def certified_spectrum(circle: MetricCircleNumeric, lambda_max: float
-                       ) -> tuple[ExplicitSpectrum, list[float]]:
-    """All eigenvalues <= lambda_max as a level table, with one error bar
-    per level.
-
-    The closed form of the round circle of length ``circle.length``; each
-    bar bounds the float rounding of its eigenvalue (0 for the kernel).
+def certified_spectrum(X: CrossSection, lambda_max: float
+                       ) -> tuple[ExplicitSpectrum, list[float] | None]:
+    """All eigenvalues <= lambda_max of any cross-section as a level
+    table, with its error bars: None where the eigenvalues are exact
+    closed forms or a table taken as given, and one bar per level on a
+    metric circle, bounding the float rounding of its eigenvalue (0 for
+    the kernel).
     """
-    spec = circle.spectrum_upto(lambda_max)
-    return spec, circle.error_bars(spec)
+    spec = X.spectrum_upto(lambda_max)
+    return spec, X.error_bars(spec)
 
 
 # -- density file interchange ----------------------------------------------

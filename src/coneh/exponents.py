@@ -16,14 +16,16 @@ def exponent_from_eigenvalue(lam: float | np.ndarray, n: int):
     """Return the unique alpha >= 0 with alpha * (alpha + n - 2) = lam.
 
     Strictly increasing in lam, with alpha(0) = 0.  For n = 2 this is
-    simply sqrt(lam).
+    simply sqrt(lam).  The root is taken of h^2 + lam, h = (n - 2) / 2,
+    so no finite lam overflows it.
     """
     if np.less(lam, 0).any():
         raise InvalidArgument(f"eigenvalue must be nonnegative, got {lam}")
     if n < 2:
         raise InvalidArgument(f"ambient dimension must be >= 2, got {n}")
     root = np.sqrt if isinstance(lam, np.ndarray) else math.sqrt
-    return ((2.0 - n) + root((n - 2.0) ** 2 + 4.0 * lam)) / 2.0
+    h = 0.5 * (n - 2)
+    return root(h * h + lam) - h
 
 
 def eigenvalue_from_exponent(alpha: float | np.ndarray, n: int):

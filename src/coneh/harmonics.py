@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (DegenerateInput, InvalidArgument, NumericFailure,
                      PreconditionViolation)
-from .exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 from .spectra import _json_number, _json_object, _read_json
 
 
@@ -241,24 +240,23 @@ class ThreeCirclesResult(NamedTuple):
 
 def three_circles_ratio(u: ConeHarmonic, s: float, k: float
                         ) -> ThreeCirclesResult:
-    """Doubling ratio J(s)/J(s/2) against the growth-cap bound 2^(2*cap).
+    """Doubling ratio J(s)/J(s/2) against the growth-cap bound 2^(2*k).
 
     The cap is the largest admissible exponent at growth order k, i.e.
     the exponent of the eigenvalue k(k+n-2), which is k itself.  A single
     mode sitting exactly at the cap saturates the bound.  Past the float
-    range (cap above 512) the bound is reported as inf and the verdict
-    compares log ratio with 2 cap log 2; the ratio is inf when it too
+    range (k above 512) the bound is reported as inf and the verdict
+    compares log ratio with 2 k log 2; the ratio is inf when it too
     overflows.
     """
     if not 0 < k < math.inf:
         raise InvalidArgument(f"k must be positive and finite, got {k}")
     alpha, logw = _log_weights(u, s)
-    cap = exponent_from_eigenvalue(eigenvalue_from_exponent(k, u.n), u.n)
     for i, m in enumerate(u.active_modes):
-        if m.alpha > cap * (1.0 + 1e-12):
+        if m.alpha > k * (1.0 + 1e-12):
             raise PreconditionViolation(
                 f"mode {i} (alpha = {m.alpha}, mode_id = {m.mode_id}) "
-                f"exceeds the growth cap {cap}")
+                f"exceeds the growth cap {k}")
     log_j = logw - u._log_div
     log_j -= log_j.max()  # at s/2 each row entry drops by 2 alpha log 2
     log_ratio = float(_log_sum(log_j)
@@ -268,10 +266,10 @@ def three_circles_ratio(u: ConeHarmonic, s: float, k: float
     except OverflowError:
         ratio = math.inf
     try:
-        bound = 2.0 ** (2.0 * cap)
-    except OverflowError:  # cap past 512: decide in log space
+        bound = 2.0 ** (2.0 * k)
+    except OverflowError:  # k past 512: decide in log space
         return ThreeCirclesResult(ratio, math.inf, log_ratio <= (
-            2.0 * cap * math.log(2.0) + math.log1p(1e-12)))
+            2.0 * k * math.log(2.0) + math.log1p(1e-12)))
     return ThreeCirclesResult(ratio, bound, ratio <= bound * (1.0 + 1e-12))
 
 

@@ -79,6 +79,15 @@ _FINITE_LEVELS_LENGTH = (2.0 * math.pi * 2.0 ** 55
 #: starts at 2**-2 and halves while a sampled order ties with a resonance.
 _MIN_OFFSET_EXP = 20
 
+#: Growth orders one Cesaro sum may sample.  Spheres and circles sum in
+#: O(1) and O(log K) steps, so on them this bounds what the float checks
+#: can certify, not the cost: the orders i - 1 + delta stay exact floats,
+#: and the tie margin 8 eps K of `_tie_shift`, which grows with K on
+#: circles, stays below 2**-24, under the smallest offset 2**-20.  A
+#: spectrum file walks its orders: about 0.5 s at the ceiling on a file
+#: of 262145 levels (2-core x86 host).
+_MAX_CESARO_ORDERS = 2 ** 24
+
 #: Natural logs of the smallest normal float and of the largest float.
 _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
@@ -198,6 +207,16 @@ def _tie_shift(orders: int) -> int:
     return 49 - orders.bit_length()
 
 
+def _cesaro_orders(k: float) -> int:
+    """int(k), the growth orders of the Cesaro sum up to k; NumericFailure
+    past _MAX_CESARO_ORDERS, where no tie margin is derived."""
+    orders = int(k)
+    if orders > _MAX_CESARO_ORDERS:
+        raise NumericFailure(f"the Cesaro sum at k = {k} needs {orders} "
+                             f"orders, past {_MAX_CESARO_ORDERS}")
+    return orders
+
+
 def _check_level_count(levels: int, what: str, ceiling: float):
     if levels > ceiling:
         raise NumericFailure(f"{what} needs {levels} levels, past {ceiling}")
@@ -225,8 +244,14 @@ class CrossSection:
         raise NotImplementedError
 
     def certified_bound(self) -> float:
-        """Largest eigenvalue up to which the spectrum is certified."""
-        raise NotImplementedError
+        """Largest eigenvalue up to which the spectrum is certified: every
+        one, unless the spectrum is a truncated table."""
+        return math.inf
+
+    def error_bars(self, spectrum: ExplicitSpectrum) -> list[float] | None:
+        """One error bar per level of `spectrum`, a truncation of this
+        one; None where its eigenvalues are exact closed forms."""
+        return None
 
     def measure(self) -> float:
         """The (n-1)-dimensional Hausdorff measure of X."""
@@ -324,9 +349,9 @@ class CrossSection:
         within the tie margin (`_tie_shift`) of a resonant exponent, so
         that on circles the float count at every sampled order is the
         exact one that the floor sum of `cesaro_total` adds up;
-        NumericFailure when 2**-_MIN_OFFSET_EXP still ties.  The margin is
-        derived for int(k) up to growth's ceiling of 2**24 orders."""
-        orders = int(k)
+        NumericFailure when 2**-_MIN_OFFSET_EXP still ties, or when int(k)
+        is past _MAX_CESARO_ORDERS, the ceiling the margin is derived for."""
+        orders = _cesaro_orders(k)
         for m in range(2, _MIN_OFFSET_EXP + 1):
             if not orders or not self._cesaro_ties(orders, m):
                 return 2.0 ** -m
@@ -448,9 +473,6 @@ class RoundSphere(CrossSection):
     def ambient_dim(self) -> int:
         return self.d + 1
 
-    def certified_bound(self) -> float:
-        return math.inf
-
     def level_eigenvalue(self, l):
         l = l.astype(float)
         return l * (l + (self.d - 1))
@@ -466,11 +488,9 @@ class RoundSphere(CrossSection):
         return np.maximum(rising * (2 * l + d) // math.factorial(d), 0)
 
     def level_lookup(self, lam):
-        # the root of l^2 + (d-1) l = lam, halved inside the sqrt so that
-        # no lam up to the largest float overflows
-        half = 0.5 * (self.d - 1)
-        root = np.sqrt(half * half + np.maximum(lam, 0.0))
-        return self._settle(np.floor(root - half), lam)
+        # level l has the exponent l on the cone R^(d+1)
+        guess = exponent_from_eigenvalue(np.maximum(lam, 0.0), self.ambient_dim)
+        return self._settle(np.floor(guess), lam)
 
     def _cesaro_ties(self, orders: int, m: int) -> bool:
         return False  # the orders i + 1/4 lie 1/4 from the integer exponents
@@ -478,7 +498,7 @@ class RoundSphere(CrossSection):
     def cesaro_total(self, k: float) -> int:
         # order i - 1 + delta in (i - 1, i) counts the levels l < i, so the
         # total sums C(l+d, d) + C(l+d-1, d) over l < K: two hockey sticks
-        K, d = int(k), self.d
+        K, d = _cesaro_orders(k), self.d
         return math.comb(K + d, d + 1) + math.comb(K + d - 1, d + 1)
 
     def max_levels(self) -> int:
@@ -511,9 +531,6 @@ class Circle(CrossSection):
     @property
     def ambient_dim(self) -> int:
         return 2
-
-    def certified_bound(self) -> float:
-        return math.inf
 
     def level_eigenvalue(self, j):
         if self.length >= _FINITE_LEVELS_LENGTH:

@@ -59,6 +59,13 @@ def harmonic_poly_dim_binomial(n, k):
     return total
 
 
+def exponent_unhalved(lam, n):
+    """The exponent root ((2 - n) + sqrt((n - 2)^2 + 4 lam)) / 2, on a float
+    or an array; it overflows once 4 lam passes the largest float
+    (reference for exponents.exponent_from_eigenvalue below that)."""
+    return ((2.0 - n) + np.sqrt((n - 2.0) ** 2 + 4.0 * lam)) / 2.0
+
+
 def unit_ball_volume(n):
     """Volume of the unit n-ball by the recursion w_n = 2 pi / n * w_(n-2)
     from w_0 = 1 and w_1 = 2 (reference for growth.ball_volume)."""

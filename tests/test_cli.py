@@ -321,6 +321,28 @@ class TestExitCodes:
         assert count[1]["counts"][0]["count"] == 3
         assert [e["mult"] for e in spectrum[1]["spectrum"]["entries"]] == [1, 2]
 
+    def test_spectrum_file_exponents_past_max_over_4(self, capsys, tmp_path):
+        # the exponent of 1e308 is about 1e154: 4 lambda passes the largest
+        # float, and the root must not overflow on the way
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 3, "measure": 1.0,
+            "truncation_bound": sys.float_info.max,
+            "entries": [{"lambda": 0.0, "mult": 1},
+                        {"lambda": 2.0, "mult": 3},
+                        {"lambda": 1e308, "mult": 2}]}))
+        cs = f"spectrum:{path}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stairs = run_json(capsys, "hk", "--cross-section", cs, "--n", "3",
+                              "--k-max", "1.2e154")
+            single = run_json(capsys, "hk", "--cross-section", cs, "--n", "3",
+                              "--k", "5e153")
+        assert stairs[0] == single[0] == EXIT_OK
+        assert [(s["k_lo"], s["h"]) for s in stairs[1]["staircase"]] == [
+            (0.0, 1), (1.0, 4), (1e154, 6)]
+        assert single[1]["growth_report"]["upper"] == 4
+
     @pytest.mark.parametrize("argv", [
         ["verify-grid", "--mode", "1", "1", "1", "--length", "-1"],
         ["verify-grid", "--mode", "1", "1", "1", "--length", "inf"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneh import InvalidArgument, MetricCircleNumeric
+from coneh import Circle, InvalidArgument, MetricCircleNumeric, RoundSphere
 from coneh.eigensolver import (assemble, certified_spectrum, eigenvalues,
                                load_density)
 
@@ -45,10 +45,17 @@ class TestMetricCircle:
 
 class TestDiscreteOperator:
     def test_symmetric_with_zero_row_sums(self):
-        op = assemble(MetricCircleNumeric.constant(math.pi), 32)
+        c = MetricCircleNumeric.constant(math.pi)
+        op = assemble(c, 32)
         A = op.dense()
         assert np.allclose(A, A.T)
         assert np.allclose(A.sum(axis=1), 0.0)
+        # the uniform stencil of step L/m: -1/h^2 beside 2/h^2
+        assert (op.size, op.step) == (32, c.length / 32)
+        inv = 1.0 / (op.step * op.step)
+        assert (np.diag(A) == 2.0 * inv).all()
+        assert (np.diag(A, 1) == -inv).all() and A[0, -1] == A[-1, 0] == -inv
+        assert np.count_nonzero(A) == 3 * 32
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(InvalidArgument, match="power of two"):
@@ -119,6 +126,13 @@ class TestCertifiedSpectrum:
     def test_rejects_nonpositive_lambda_max(self):
         with pytest.raises(InvalidArgument):
             certified_spectrum(MetricCircleNumeric.constant(math.pi), -1.0)
+
+    @pytest.mark.parametrize("X", [RoundSphere(2), Circle(math.pi),
+                                   Circle(TWO_PI).spectrum_upto(50.0)])
+    def test_closed_forms_and_tables_carry_no_bars(self, X):
+        spec, bars = certified_spectrum(X, 20.0)
+        assert bars is None
+        assert spec.entries == X.spectrum_upto(20.0).entries
 
 
 @st.composite

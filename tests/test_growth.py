@@ -1,17 +1,19 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from coneh import (Circle, ExplicitSpectrum, InvalidArgument,
-                   NumericFailure, RoundSphere, growth,
+                   NumericFailure, RoundSphere, spectra,
                    asymptotic_ratio, ball_volume, cesaro_limit,
                    collapsed_bounds, empirical_ratio_convergence, euclidean_hk,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_bounds, hk_staircase, weyl_ratio)
 
-from .oracles import (harmonic_poly_dim_binomial, harmonic_poly_dim_brute,
-                      unit_ball_volume)
+from .oracles import (exponent_unhalved, harmonic_poly_dim_binomial,
+                      harmonic_poly_dim_brute, unit_ball_volume)
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +35,28 @@ class TestExponentMap:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidArgument):
             exponent_from_eigenvalue(-1.0, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 50, 101, 401, 1001])
+    def test_matches_the_unhalved_root_below_max_over_4(self, n):
+        rng = np.random.default_rng(n)
+        lam = 10.0 ** rng.uniform(-300.0, math.log10(sys.float_info.max / 4),
+                                  4000)
+        with np.errstate(over="raise"):
+            expected = exponent_unhalved(lam, n)
+        assert np.array_equal(exponent_from_eigenvalue(lam, n), expected)
+        assert [exponent_from_eigenvalue(v, n) for v in lam[:200].tolist()] \
+            == expected[:200].tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 1001])
+    def test_finite_and_monotone_at_the_top_of_the_float_range(self, n):
+        lam = np.array([sys.float_info.max / 4, 4.5e307, 1e308,
+                        sys.float_info.max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = exponent_from_eigenvalue(lam, n)
+            scalar = [exponent_from_eigenvalue(v, n) for v in lam.tolist()]
+        assert np.isfinite(alpha).all() and (np.diff(alpha) > 0).all()
+        assert scalar == alpha.tolist()
 
 
 class TestEuclideanHk:
@@ -219,11 +243,21 @@ class TestAsymptotics:
         assert rows[-1].cesaro_deviation <= 0.01 * cesaro_limit(RoundSphere(2), 3)
 
     def test_cesaro_orders_past_the_ceiling(self, monkeypatch):
-        monkeypatch.setattr(growth, "_MAX_CESARO_ORDERS", 10)
-        X = Circle(TWO_PI)
-        assert len(empirical_ratio_convergence(X, 2, [10.5])) == 1
-        with pytest.raises(NumericFailure, match="needs 11 orders, past 10"):
-            empirical_ratio_convergence(X, 2, [11.0])
+        cases = [(RoundSphere(2), 3), (Circle(2.0), 2),
+                 (Circle(TWO_PI).spectrum_upto(1e4), 2)]
+        # unpatched: every Cesaro entry point refuses 2**50 orders, where
+        # no tie margin is derived (`_tie_shift` would be negative)
+        past = "needs 1125899906842624 orders, past 16777216"
+        for X, _ in cases:
+            for sample in (X.cesaro_offset, X.cesaro_total):
+                with pytest.raises(NumericFailure, match=past):
+                    sample(2.0 ** 50 + 0.5)
+        monkeypatch.setattr(spectra, "_MAX_CESARO_ORDERS", 10)
+        for X, n in cases:
+            assert len(empirical_ratio_convergence(X, n, [10.5])) == 1
+            with pytest.raises(NumericFailure,
+                               match="needs 11 orders, past 10"):
+                empirical_ratio_convergence(X, n, [11.0])
 
     def test_resonant_k_is_perturbed_not_rejected(self):
         rows = empirical_ratio_convergence(Circle(TWO_PI), 2, [5.0])
