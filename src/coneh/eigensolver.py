@@ -102,7 +102,8 @@ def load_density(path: str) -> MetricCircleNumeric:
 
     Every error is InvalidArgument naming the file; a sample that is not a
     finite number or not positive, or a CSV row whose index or value is not
-    a number, is named too."""
+    a number, is named too.  The CSV indices must be 0..N-1, each once: a
+    negative, repeated or missing index is named."""
     is_json = path.endswith(".json")
     data = _read_json(path) if is_json else _read_text(path)
     try:
@@ -112,7 +113,7 @@ def load_density(path: str) -> MetricCircleNumeric:
             return MetricCircleNumeric(_numbers(
                 "sample {}".format, data,
                 lambda v: np.asarray_chkfinite(v, dtype=float)))
-        samples: list[tuple[int, float]] = []
+        samples: dict[int, float] = {}
         rows = csv.reader(io.StringIO(data, newline=""))
         for row in rows:
             if not row or row[0].strip().startswith("#"):
@@ -127,8 +128,14 @@ def load_density(path: str) -> MetricCircleNumeric:
                 raise InvalidArgument(
                     f"row {rows.line_num}: expected an integer index and a "
                     f"finite value, got {','.join(row)!r}")
-            samples.append((index, value))
-        samples.sort()
-        return MetricCircleNumeric(v for _, v in samples)
+            if index < 0 or index in samples:
+                raise InvalidArgument(
+                    f"row {rows.line_num}: theta index {index} is "
+                    + ("negative" if index < 0 else "repeated"))
+            samples[index] = value
+        for i in range(len(samples)):
+            if i not in samples:
+                raise InvalidArgument(f"theta index {i} is missing")
+        return MetricCircleNumeric(samples[i] for i in range(len(samples)))
     except (InvalidArgument, csv.Error) as exc:
         raise InvalidArgument(f"{path}: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import InvalidArgument, NumericFailure
 from .exponents import eigenvalue_from_exponent
-from .spectra import RESONANCE_TOL, CrossSection, in_float_range
+from .spectra import RESONANCE_TOL, CrossSection, in_float_range, sphere_count
 
 __all__ = [
     "GrowthReport", "CollapsedReport", "StaircaseStep", "EmpiricalRatio",
@@ -45,7 +45,7 @@ def euclidean_hk(n: int, k: int) -> int:
     """
     if n < 2 or k < 0:
         raise InvalidArgument(f"need n >= 2 and k >= 0, got n={n}, k={k}")
-    return math.comb(k + n - 1, n - 1) + math.comb(k + n - 2, n - 1)
+    return sphere_count(n - 1, k)
 
 
 class GrowthReport(NamedTuple):

@@ -74,19 +74,6 @@ class ConeHarmonic:
         """Normalize to u(tip) = 0."""
         return ConeHarmonic(self.n, self.modes, 0.0)
 
-    def scaled(self, t: float) -> "ConeHarmonic":
-        return ConeHarmonic(self.n, tuple(m._replace(c=t * m.c)
-                                          for m in self.modes),
-                            t * self.constant_term)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "constant": self.constant_term,
-            "modes": [{"alpha": m.alpha, "c": m.c, "mode_id": m.mode_id}
-                      for m in self.modes],
-        }
-
 
 def cone_harmonic_from_json(doc: dict, source: str = "<json>"
                             ) -> ConeHarmonic:

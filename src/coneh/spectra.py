@@ -56,16 +56,16 @@ LEVEL_BLOCK = 1 << 16
 #: Levels a spectrum table or a resonant set may hold: 8 MiB per column.
 _MAX_LEVELS = 2 ** 20
 
-#: Level-count work a round-sphere table may take, in levels times the
-#: dimension d: a level count is a product of d integers, so the work per
-#: level grows with d.  The counts of a full table take about 0.5 s up to
-#: d = 100, 0.9 s on S^400 (10485 levels) and 1.8 s on S^1000 (4194
-#: levels), 2-core x86 host.
+#: Big-integer work a round-sphere table may take, in levels times the
+#: dimension d: a level count is two binomials of min(l, d) products each.
+#: The counts of a full table take about 0.25-0.75 s up to d = 100, 0.9 s
+#: on S^400 (10485 levels) and 1.0 s on S^1000 (4194 levels), 2-core x86
+#: host.
 _MAX_SPHERE_TABLE_WORK = 2 ** 22
 
-#: Largest round-sphere dimension.  A level count is a product of d big
-#: integers: `count` at two lambdas takes about 0.6 ms at d = 1000 and
-#: 0.5 s at d = 30000 (2-core x86 host).
+#: Largest round-sphere dimension.  One level count near level 2**52 takes
+#: about 2 ms at d = 1000 and 0.5 s at d = 30000 (2-core x86 host): its
+#: binomials take d big-integer products each.
 _MAX_SPHERE_DIM = 1000
 
 #: Shortest circle on which every level j < 2**55 has a finite eigenvalue
@@ -119,11 +119,25 @@ def _upper_probe(lam):
         return np.minimum(lam * (1.0 + _EQUAL_RTOL), sys.float_info.max)
 
 
+def _lower_probe(lam):
+    """The level lookup's probe for the eigenvalues strictly below lam: lam
+    narrowed by _EQUAL_RTOL and one ulp more, so that an eigenvalue within
+    rounding below lam counts as equal to it, not as below it."""
+    return np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf)
+
+
+def sphere_count(d: int, l: int) -> int:
+    """C(l+d, d) + C(l+d-1, d), the eigenvalues of S^d through level l with
+    multiplicity (the harmonic polynomials of degree <= l in R^(d+1)), as a
+    Python int; 0 below level 0."""
+    return math.comb(l + d, d) + math.comb(l + d - 1, d) if l >= 0 else 0
+
+
 def _exact_array(values) -> np.ndarray:
     """`values` as an array holding each one exactly: a machine-integer
     array when they fit one, Python objects else."""
     arr = np.array(values)
-    return arr if arr.dtype.kind in "biu" else np.array(values, dtype=object)
+    return arr if arr.dtype.kind in "bi" else np.array(values, dtype=object)
 
 
 def _check_levels(ambient_dim: int, eigs: np.ndarray, mults: np.ndarray,
@@ -305,8 +319,7 @@ class CrossSection:
         """Eigenvalues strictly below each entry of lam, with multiplicity."""
         lam = np.asarray(lam, dtype=float)
         self._check_certified_array(lam)
-        below = np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf)
-        return self.level_count(self.level_lookup(below))
+        return self.level_count(self.level_lookup(_lower_probe(lam)))
 
     def counting(self, lam: float) -> int:
         """N_X(lam): eigenvalues <= lam counted with multiplicity (index 0 included)."""
@@ -420,9 +433,8 @@ class CrossSection:
         self._check_certified(lam)
         window = self._resonance_window(k)
         # the probes of count_array, count_left_array and is_resonant
-        levels = self.level_lookup(np.array([
-            _upper_probe(lam),
-            np.nextafter(lam * (1.0 - _EQUAL_RTOL), -math.inf), lam]))
+        levels = self.level_lookup(
+            np.array([_upper_probe(lam), _lower_probe(lam), lam]))
         upper, left = self.level_count(levels[:2]).tolist()
         return upper, left, self._nearest_resonance(k, window, levels[2])
 
@@ -449,7 +461,8 @@ class CrossSection:
         closer = above <= window and abs(k - above) < abs(k - below)
         beta = above if closer else below
         dist = abs(k - beta)
-        return dist <= RESONANCE_TOL, beta, dist
+        # the constants' exponent 0 is no resonance: h_k = 1 below lambda_1
+        return dist <= RESONANCE_TOL and beta > 0, beta, dist
 
 
 @dataclass(frozen=True)
@@ -478,14 +491,7 @@ class RoundSphere(CrossSection):
         return l * (l + (self.d - 1))
 
     def level_count(self, l):
-        d = self.d
-        # the product below stays under 2*(l+d)^d
-        if l.size and (int(l.max()) + d) ** d >= 2 ** 62:
-            l = l.astype(object)
-        # dim of harmonic polynomials of degree <= l in R^(d+1):
-        # C(l+d, d) + C(l+d-1, d) = (l+1)...(l+d-1) * (2l+d) / d!
-        rising = np.prod(l[:, None] + np.arange(1, d), axis=1)
-        return np.maximum(rising * (2 * l + d) // math.factorial(d), 0)
+        return _exact_array([sphere_count(self.d, i) for i in l.tolist()])
 
     def level_lookup(self, lam):
         # level l has the exponent l on the cone R^(d+1)
@@ -496,10 +502,10 @@ class RoundSphere(CrossSection):
         return False  # the orders i + 1/4 lie 1/4 from the integer exponents
 
     def cesaro_total(self, k: float) -> int:
-        # order i - 1 + delta in (i - 1, i) counts the levels l < i, so the
-        # total sums C(l+d, d) + C(l+d-1, d) over l < K: two hockey sticks
-        K, d = _cesaro_orders(k), self.d
-        return math.comb(K + d, d + 1) + math.comb(K + d - 1, d + 1)
+        # order i - 1 + delta in (i - 1, i) counts the levels l < i, and
+        # the counts of S^d below level K sum to the count of S^(d+1)
+        # through level K - 1: two hockey sticks
+        return sphere_count(self.d + 1, _cesaro_orders(k) - 1)
 
     def max_levels(self) -> int:
         return min(_MAX_LEVELS, _MAX_SPHERE_TABLE_WORK // self.d)

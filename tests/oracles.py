@@ -7,9 +7,38 @@ import sys
 import numpy as np
 
 from coneh import spectra
+from coneh.harmonics import ConeHarmonic
 from coneh.exponents import eigenvalue_from_exponent, exponent_from_eigenvalue
 
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
+
+
+def rising_level_count(d, l):
+    """C(l+d, d) + C(l+d-1, d), the count of S^d through each level of the
+    int64 array l >= -1, as (l+1)(l+2)...(l+d-1) * (2l+d) / d!: a product
+    of d integers, in int64 while it stays under 2 (l+d)^d < 2**63 and in
+    Python ints beyond (reference for RoundSphere.level_count)."""
+    if l.size and (int(l.max()) + d) ** d >= 2 ** 62:
+        l = l.astype(object)
+    rising = np.prod(l[:, None] + np.arange(1, d), axis=1)
+    return np.maximum(rising * (2 * l + d) // math.factorial(d), 0)
+
+
+def scaled_harmonic(u, t):
+    """The cone harmonic t*u: every coefficient and the constant times t."""
+    return ConeHarmonic(u.n, tuple(m._replace(c=t * m.c) for m in u.modes),
+                        t * u.constant_term)
+
+
+def harmonic_to_json(u):
+    """The harmonic-file layout of u (reference for
+    harmonics.cone_harmonic_from_json)."""
+    return {
+        "n": u.n,
+        "constant": u.constant_term,
+        "modes": [{"alpha": m.alpha, "c": m.c, "mode_id": m.mode_id}
+                  for m in u.modes],
+    }
 
 
 def monomials(n, degree):

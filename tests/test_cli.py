@@ -105,6 +105,54 @@ class TestReports:
         rep = doc["growth_report"]
         assert rep["exact"] == 9 and not rep["resonant"]
 
+    def test_exponent_zero_is_no_resonance(self, capsys):
+        # below lambda_1 only the constants qualify: h_k = 1 exactly
+        code, doc = run_json(capsys, "hk", "--cross-section", "sphere:2",
+                             "--n", "3", "--k", "1e-10")
+        assert code == EXIT_OK
+        assert doc["growth_report"] == {
+            "k": 1e-10, "n": 3, "lower": 1, "upper": 1, "exact": 1,
+            "resonant": False, "nearest_resonance": 0.0}
+        # so the pointwise ratio is taken at k, not at k + 1e-9
+        for cs, n, k, ratio in [("sphere:3", "4", "1e-100", 1e300),
+                                ("circle:3", "2", "1e-300", 1e300)]:
+            code, doc = run_json(capsys, "asymptotic", "--cross-section", cs,
+                                 "--n", n, "--k", k)
+            assert code == EXIT_OK
+            (row,) = doc["table"]
+            assert row["pointwise_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+    #: S^2's levels 0-4 (exponents 0-4 at n = 3), certified up to 30
+    CLIPPED = {"ambient_dim": 3, "measure": 4.0 * math.pi,
+               "truncation_bound": 30.0,
+               "entries": [{"lambda": l * (l + 1.0), "mult": 2 * l + 1}
+                           for l in range(5)]}
+
+    @pytest.mark.parametrize("k", ["4.4", "4.9"])
+    def test_resonance_window_stops_at_the_certified_bound(
+            self, capsys, tmp_path, k):
+        # the bound 30 has the exponent 5 < k + 1: the window reads
+        # certified levels only
+        path = tmp_path / "clipped.json"
+        path.write_text(json.dumps(self.CLIPPED))
+        code, doc = run_json(capsys, "hk", "--cross-section",
+                             f"spectrum:{path}", "--n", "3", "--k", k)
+        assert code == EXIT_OK
+        rep = doc["growth_report"]
+        assert (rep["resonant"], rep["nearest_resonance"], rep["exact"]) == (
+            False, 4.0, 25)
+
+    def test_resonance_window_past_the_certified_bound(self, capsys,
+                                                       tmp_path):
+        # k + 1e-9 passes the exponent 5 of the bound
+        path = tmp_path / "clipped.json"
+        path.write_text(json.dumps(self.CLIPPED))
+        code, doc = run_json(capsys, "hk", "--cross-section",
+                             f"spectrum:{path}", "--n", "3", "--k", "5.0")
+        assert code == EXIT_RESOLUTION
+        assert doc["error"]["type"] == "ResolutionInsufficient"
+        assert doc["error"]["certified_bound"] == 30.0
+
     def test_hk_staircase(self, capsys):
         code, doc = run_json(capsys, "hk", "--cross-section",
                              "circle:6.283185307179586", "--n", "2",
@@ -639,7 +687,7 @@ class TestExitCodes:
         (["weyl", "--cross-section", "sphere:4", "--n", "5",
           "--lambda", "1e-300"], "the Weyl ratio at lambda = 1e-300"),
         (["asymptotic", "--cross-section", "sphere:3", "--n", "4",
-          "--k", "1e-300"], None),
+          "--k", "1e-300"], "the pointwise ratio at k = 1e-300"),
         (["asymptotic", "--cross-section", "circle:3", "--n", "2",
           "--k", "1e-300", "2.5"], None),
         (["weyl", "--cross-section", "sphere:400", "--n", "401",

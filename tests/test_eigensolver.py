@@ -230,6 +230,22 @@ class TestDensityFiles:
         c = load_density(str(path))
         assert c.density == (0.5, 0.6, 0.7, 0.8)
 
+    @pytest.mark.parametrize("text, message", [
+        # once read as four uniform samples of a circle of length pi
+        ("0,0.5\n0,0.5\n5,0.5\n-3,0.5\n", "row 2: theta index 0 is repeated"),
+        ("0,0.5\n1,0.5\n-1,0.5\n2,0.5\n3,0.5\n",
+         "row 3: theta index -1 is negative"),
+        ("# theta_index, a_value\n0,0.5\n1,0.5\n3,0.5\n4,0.5\n",
+         "theta index 2 is missing"),
+        ("1,0.5\n2,0.5\n3,0.5\n4,0.5\n", "theta index 0 is missing"),
+    ])
+    def test_csv_indices_are_each_index_once(self, tmp_path, text, message):
+        path = tmp_path / "density.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument) as info:
+            load_density(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_rejects_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0.5,extra\n")

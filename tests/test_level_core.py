@@ -20,7 +20,8 @@ from coneh import (Circle, ExplicitSpectrum, InvalidArgument, NumericFailure,
                    eigenvalue_from_exponent, exponent_from_eigenvalue,
                    hk_staircase, spectra)
 
-from .oracles import cesaro_offset_walk, per_order_total
+from .oracles import (cesaro_offset_walk, per_order_total,
+                      rising_level_count)
 
 TWO_PI = 2.0 * math.pi
 RTOL = 4.0 * sys.float_info.epsilon  # eigenvalues this close count as equal
@@ -98,8 +99,8 @@ def test_is_resonant_matches_nearest_search(X, offset):
         candidates = X.resonant_set_upto(window)[0].tolist()
         best = min(candidates, key=lambda b: abs(k - b))
         dist = abs(k - best)
-        assert X.is_resonant(k) == (dist <= spectra.RESONANCE_TOL,
-                                    best, dist), k
+        assert X.is_resonant(k) == (dist <= spectra.RESONANCE_TOL
+                                    and best > 0, best, dist), k
 
 
 @pytest.mark.parametrize("X", CROSS_SECTIONS)
@@ -320,6 +321,36 @@ def test_counts_past_int64_stay_exact():
     l = 10 ** 7
     count = RoundSphere(3).counting(float(l * (l + 2)))
     assert count == (l + 1) * (l + 2) * (2 * l + 3) // 6 > 2 ** 63
+
+
+@pytest.mark.parametrize("d", [*range(1, 7), 10, 50, 400, 1000])
+def test_sphere_level_counts_match_the_rising_product(d):
+    # the full table up to d = 6, else levels on either side of the first
+    # count past int64, at both ends of the table, and at random
+    X = RoundSphere(d)
+    top = X.max_levels()
+    if d <= 6:
+        levels = np.arange(-1, top)
+    else:
+        lo, hi = 0, top  # the first count past int64 lies in (lo, hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if rising_level_count(d, np.array([mid]))[0] >= 2 ** 63:
+                hi = mid
+            else:
+                lo = mid
+        rng = np.random.default_rng(d)
+        levels = np.unique([-1, 0, 1, 2, hi - 1, hi, hi + 1, top - 1,
+                            *rng.integers(0, top, 20)])
+    got, want = X.level_count(levels), rising_level_count(d, levels)
+    assert got.tolist() == want.tolist()
+    # int64 exactly while every count fits, Python ints beyond; the counts
+    # grow with the sorted levels, so those that fit are a prefix
+    fit = int((want < 2 ** 63).sum())
+    assert got.dtype == (np.int64 if fit == levels.size else object)
+    if fit < levels.size:
+        assert X.level_count(levels[:fit]).dtype == np.int64
+        assert X.level_count(levels[fit:fit + 1]).dtype == object
 
 
 @pytest.mark.parametrize("X", [Circle(TWO_PI), RoundSphere(3)])
