@@ -1,9 +1,17 @@
 """Batch front-end: every computation as a subcommand with JSON/CSV output.
 
+Each ``cmd_*`` function computes and returns ``(body, table, header, ok)``:
+the report's own fields, the rows a CSV prints (None where the report has
+no table), the CSV columns, and whether its verdicts passed.  `main` alone
+parses argv, runs the command, wraps the body in the schema tag, the tool
+version and the config echo, writes it, and returns the exit code.  The
+config echo is every parsed option but --output, the unset ones omitted;
+--lambda is echoed under both ``lam`` and ``lambda``.
+
 Exit codes: 0 success, 1 usage error, 2 resolution-insufficient,
-3 verification or numeric failure.  All reports are self-describing: they
-embed the schema tag, tool version and the resolved configuration, and
-identical argv + seed produce byte-identical output.
+3 verification or numeric failure; a `ConehError` prints its error object
+and exits with its own code.  Identical argv + seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -15,15 +23,16 @@ import math
 import sys
 
 from . import __version__, eigensolver, gridcheck, growth, harmonics, selftest
-from .errors import ConehError, InvalidArgument, NumericFailure
+from .errors import (ConehError, InvalidArgument, NumericFailure,
+                     ResolutionInsufficient)
 from .spectra import Circle, CrossSection, RoundSphere, load_spectrum
 
 SCHEMA = "coneh/1"
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_RESOLUTION = 2
-EXIT_VERIFICATION = 3
+EXIT_USAGE = InvalidArgument.exit_code
+EXIT_RESOLUTION = ResolutionInsufficient.exit_code
+EXIT_VERIFICATION = NumericFailure.exit_code
 
 
 def _number(convert, arg: str, text: str):
@@ -52,12 +61,18 @@ def parse_cross_section(text: str) -> CrossSection:
     raise InvalidArgument(f"unknown cross-section kind {kind!r}")
 
 
-def _report(config: dict, body: dict) -> dict:
-    return {"schema": SCHEMA, "version": __version__, "config": config} | body
+def _config(args) -> dict:
+    """The config echo of a report, by the rule in the module docstring."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "output")
+              and value is not None}
+    if "lam" in config:
+        config["lambda"] = config["lam"]
+    return config
 
 
-def _emit(args, doc: dict, table: list[dict] | None = None,
-          header: list[str] | None = None):
+def _emit(args, doc: dict, table: list[dict] | None,
+          header: list[str] | None):
     """Write `doc` as JSON, or the `header` columns of `table` as CSV; an
     --output path that cannot be written is InvalidArgument, and a count
     too long to print (past Python's integer-to-text digit limit) is
@@ -83,77 +98,56 @@ def _emit(args, doc: dict, table: list[dict] | None = None,
         raise InvalidArgument(f"{args.output}: {exc.strerror or exc}") from exc
 
 
-def _cs_config(args) -> dict:
-    cfg = {"cross_section": args.cross_section, "format": args.format}
-    for key in ("n", "m", "k", "k_max", "lam", "s", "seed"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     X = parse_cross_section(args.cross_section)
-    spec, bars = eigensolver.certified_spectrum(X, args.lam_max)
+    spec, bars = eigensolver.certified_spectrum(X, args.lambda_max)
     spectrum = spec.to_json(error_bars=bars)
-    doc = _report(_cs_config(args) | {"lambda_max": args.lam_max},
-                  {"spectrum": spectrum})
-    _emit(args, doc, spectrum["entries"], ["lambda", "mult"])
-    return EXIT_OK
+    return {"spectrum": spectrum}, spectrum["entries"], ["lambda", "mult"], True
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     X = parse_cross_section(args.cross_section)
     lams = args.lam
     table = [{"lambda": lam, "count": count, "count_left": left}
              for lam, count, left in zip(lams, X.count_array(lams).tolist(),
                                          X.count_left_array(lams).tolist())]
-    doc = _report(_cs_config(args) | {"lambda": lams}, {"counts": table})
-    _emit(args, doc, table, ["lambda", "count", "count_left"])
-    return EXIT_OK
+    return {"counts": table}, table, ["lambda", "count", "count_left"], True
 
 
-def cmd_hk(args) -> int:
+def cmd_hk(args):
     X = parse_cross_section(args.cross_section)
     if args.k_max is not None:
         table = [s._asdict()
                  for s in growth.hk_staircase(X, args.n, args.k_max)]
-        doc = _report(_cs_config(args), {"staircase": table})
-        _emit(args, doc, table, ["k_lo", "k_hi", "h"])
-        return EXIT_OK
+        return {"staircase": table}, table, ["k_lo", "k_hi", "h"], True
     rep = growth.hk_bounds(X, args.n, args.k)
-    _emit(args, _report(_cs_config(args), {"growth_report": rep._asdict()}))
-    return EXIT_OK
+    return {"growth_report": rep._asdict()}, None, None, True
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args):
     X = parse_cross_section(args.cross_section)
     table = [{"lambda": lam} | growth.weyl_ratio(X, args.n, lam)._asdict()
              for lam in args.lam]
-    doc = _report(_cs_config(args) | {"lambda": args.lam}, {"weyl": table})
-    _emit(args, doc, table, ["lambda", *growth.WeylRatio._fields])
-    return EXIT_OK
+    return {"weyl": table}, table, ["lambda", *growth.WeylRatio._fields], True
 
 
-def cmd_asymptotic(args) -> int:
+def cmd_asymptotic(args):
     X = parse_cross_section(args.cross_section)
     table = [r._asdict()
              for r in growth.empirical_ratio_convergence(X, args.n, args.k)]
-    doc = _report(_cs_config(args) | {"k": args.k}, {
-        "pointwise_limit": growth.asymptotic_ratio(X, args.n),
-        "cesaro_limit": growth.cesaro_limit(X, args.n),
-        "table": table})
-    _emit(args, doc, table, list(growth.EmpiricalRatio._fields))
-    return EXIT_OK
+    body = {"pointwise_limit": growth.asymptotic_ratio(X, args.n),
+            "cesaro_limit": growth.cesaro_limit(X, args.n),
+            "table": table}
+    return body, table, list(growth.EmpiricalRatio._fields), True
 
 
-def cmd_collapsed(args) -> int:
+def cmd_collapsed(args):
     X = parse_cross_section(args.cross_section)
     rep = growth.collapsed_bounds(X, args.n, args.m, args.k)
-    _emit(args, _report(_cs_config(args), {"collapsed_report": rep._asdict()}))
-    return EXIT_OK
+    return {"collapsed_report": rep._asdict()}, None, None, True
 
 
-def cmd_frequency(args) -> int:
+def cmd_frequency(args):
     u = harmonics.load_harmonic(args.harmonic)
     svals = args.s
     table = [{"s": s, "I": harmonics.I(u, s), "D": harmonics.D(u, s),
@@ -162,47 +156,36 @@ def cmd_frequency(args) -> int:
         {"r": a, "s": b,
          "residual": harmonics.frequency_identity_check(u, a, b)}
         for a, b in zip(svals, svals[1:]) if a < b]
-    gamma, order_report = harmonics.sharp_growth_order(u)
-    doc = _report({"harmonic": args.harmonic, "s": svals,
-                   "format": args.format},
-                  {"table": table, "identity_residuals": residuals,
-                   "sharp_growth_order": order_report})
-    _emit(args, doc, table, ["s", "I", "D", "U", "J"])
+    _, order_report = harmonics.sharp_growth_order(u)
+    body = {"table": table, "identity_residuals": residuals,
+            "sharp_growth_order": order_report}
     ok = all(r["residual"] <= 1e-8 for r in residuals)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return body, table, ["s", "I", "D", "U", "J"], ok
 
 
-def cmd_three_circles(args) -> int:
+def cmd_three_circles(args):
     u = harmonics.load_harmonic(args.harmonic)
     table = [{"s": s} | harmonics.three_circles_ratio(u, s, args.k)._asdict()
              for s in args.s]
-    doc = _report({"harmonic": args.harmonic, "k": args.k, "s": args.s,
-                   "format": args.format}, {"three_circles": table})
-    _emit(args, doc, table, ["s", *harmonics.ThreeCirclesResult._fields])
-    return EXIT_OK if all(t["satisfied"] for t in table) \
-        else EXIT_VERIFICATION
+    ok = all(t["satisfied"] for t in table)
+    return ({"three_circles": table}, table,
+            ["s", *harmonics.ThreeCirclesResult._fields], ok)
 
 
-def cmd_verify_grid(args) -> int:
+def cmd_verify_grid(args):
     order, residuals = gridcheck.convergence_order(
         tuple(args.mode), args.length, tuple(args.window), args.resolutions)
     ok = 1.8 <= order <= 2.2
-    doc = _report({"mode": list(args.mode), "length": args.length,
-                   "window": list(args.window),
-                   "resolutions": args.resolutions, "format": args.format},
-                  {"fitted_order": order, "residual_max_norms": residuals,
-                   "order_in_contract": ok})
+    body = {"fitted_order": order, "residual_max_norms": residuals,
+            "order_in_contract": ok}
     table = [{"resolution": m, "residual_max": r}
              for m, r in zip(args.resolutions, residuals)]
-    _emit(args, doc, table, ["resolution", "residual_max"])
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return body, table, ["resolution", "residual_max"], ok
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     report = selftest.run_selftest(args.seed)
-    doc = _report({"seed": args.seed, "format": args.format}, report)
-    _emit(args, doc)
-    return EXIT_OK if report["all_passed"] else EXIT_VERIFICATION
+    return report, None, None, report["all_passed"]
 
 
 @functools.cache
@@ -231,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("spectrum", cmd_spectrum, "certified spectrum emission")
-    sp.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
+    sp.add_argument("--lambda-max", type=float, required=True)
 
     sp = command("count", cmd_count, "counting function N_X")
     sp.add_argument("--lambda", dest="lam", type=float, nargs="+",
@@ -300,12 +283,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        body, table, header, ok = args.func(args)
+        _emit(args, {"schema": SCHEMA, "version": __version__,
+                     "config": _config(args)} | body, table, header)
     except ConehError as exc:
         sys.stdout.write(_error_object(exc))
         return exc.exit_code
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

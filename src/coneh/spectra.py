@@ -439,18 +439,15 @@ class CrossSection:
         return upper, left, self._nearest_resonance(k, window, levels[2])
 
     def _resonance_window(self, k: float) -> float:
-        """The largest exponent `is_resonant` reads at k: k + 1, or less
-        where the certified spectrum ends before it."""
+        """The largest exponent `is_resonant` reads at k: k + 1, once
+        k + RESONANCE_TOL is certified.  Past that no clip is needed: a
+        table's levels never pass its certified bound, and the level after
+        the table reads inf."""
         if k < 0:
             raise InvalidArgument(f"k must be nonnegative, got {k}")
-        n = self.ambient_dim
-        window = k + 1.0
-        try:
-            self._check_certified(eigenvalue_from_exponent(window, n))
-        except ResolutionInsufficient:
-            self._check_certified(eigenvalue_from_exponent(k + RESONANCE_TOL, n))
-            window = exponent_from_eigenvalue(self.certified_bound(), n)
-        return window
+        self._check_certified(
+            eigenvalue_from_exponent(k + RESONANCE_TOL, self.ambient_dim))
+        return k + 1.0
 
     def _nearest_resonance(self, k: float, window: float, i: int
                            ) -> tuple[bool, float, float]:

@@ -28,6 +28,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _argv_id(argv):
+    """A test id per subcommand, telling `hk --k-max` from `hk --k`."""
+    return argv[0] + ("-k-max" if "--k-max" in argv else "")
+
+
 @pytest.fixture
 def harmonic_file(tmp_path):
     doc = {"n": 2, "constant": 0.0, "modes": [
@@ -259,12 +264,84 @@ class TestFormatsAndDeterminism:
         assert lines[0] == "lambda,count,count_left"
         assert lines[1] == "6.0,9,4"
 
+    #: (argv, rows of the JSON report, documented CSV columns) per table
+    TABLES = [
+        (["spectrum", "--cross-section", "circle:3", "--lambda-max", "20"],
+         lambda doc: doc["spectrum"]["entries"], ["lambda", "mult"]),
+        (["hk", "--cross-section", "sphere:2", "--n", "3", "--k-max", "3"],
+         lambda doc: doc["staircase"], ["k_lo", "k_hi", "h"]),
+        (["weyl", "--cross-section", "sphere:2", "--n", "3",
+          "--lambda", "100", "1e4"],
+         lambda doc: doc["weyl"], ["lambda", "ratio", "limit", "deviation"]),
+        (["asymptotic", "--cross-section", "circle:3", "--n", "2",
+          "--k", "2.5", "40.5"],
+         lambda doc: doc["table"],
+         ["k", "pointwise_ratio", "pointwise_deviation", "cesaro_ratio",
+          "cesaro_deviation"]),
+        (["frequency", "--harmonic", "{harmonic}", "--s", "0.5", "1", "2"],
+         lambda doc: doc["table"], ["s", "I", "D", "U", "J"]),
+        (["three-circles", "--harmonic", "{harmonic}", "--k", "2",
+          "--s", "1", "2"],
+         lambda doc: doc["three_circles"], ["s", "ratio", "bound", "satisfied"]),
+        (["verify-grid", "--mode", "1", "1", "1"],
+         lambda doc: [{"resolution": m, "residual_max": r} for m, r in zip(
+             doc["config"]["resolutions"], doc["residual_max_norms"])],
+         ["resolution", "residual_max"]),
+    ]
+
+    @pytest.mark.parametrize("argv, rows, header", TABLES,
+                             ids=[_argv_id(argv) for argv, *_ in TABLES])
+    def test_csv_is_the_json_table(self, capsys, harmonic_file, argv, rows,
+                                   header):
+        argv = [a.format(harmonic=harmonic_file) for a in argv]
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        want = [header] + [[repr(row[h]) if isinstance(row[h], float)
+                            else str(row[h]) for h in header]
+                           for row in rows(doc)]
+        assert [line.split(",") for line in out.splitlines()] == want
+
+    @pytest.mark.parametrize("argv", [
+        ["hk", "--cross-section", "sphere:2", "--n", "3", "--k", "2.5"],
+        ["collapsed", "--cross-section", "sphere:1", "--n", "3", "--m", "2",
+         "--k", "1.5"],
+        ["selftest"],
+    ], ids=["hk-k", "collapsed", "selftest"])
+    def test_reports_without_a_table_print_json_under_csv(self, capsys,
+                                                           argv):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["format"] == "json"
+        code, csv_out = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        doc["config"]["format"] = "csv"
+        assert csv_out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_csv_of_a_failed_verdict(self, capsys):
+        # the wrong exponent for the mode number: the order check fails,
+        # and the residual table is still printed
+        with pytest.warns(UserWarning, match="non-monotone"):
+            code, out = run(capsys, "verify-grid", "--mode", "1.5", "2", "1",
+                            "--format", "csv")
+        assert code == EXIT_VERIFICATION
+        lines = out.splitlines()
+        assert lines[0] == "resolution,residual_max"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "32", "64", "128"]
+        assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run(capsys, "count", "--cross-section", "sphere:2",
                         "--lambda", "6", "--output", str(path))
         assert code == EXIT_OK and out == ""
-        assert json.loads(path.read_text())["counts"][0]["count"] == 9
+        doc = json.loads(path.read_text())
+        assert doc["counts"][0]["count"] == 9
+        assert doc["config"] == {"cross_section": "sphere:2", "format": "json",
+                                 "lam": [6.0], "lambda": [6.0]}
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("hk", "--cross-section", "circle:3.141592653589793",
@@ -272,6 +349,59 @@ class TestFormatsAndDeterminism:
         _, out1 = run(capsys, *argv)
         _, out2 = run(capsys, *argv)
         assert out1 == out2
+
+
+class TestConfigEcho:
+    """The whole `config` object of one argv per subcommand: every parsed
+    option but --output, unset ones left out, --lambda as `lam` and
+    `lambda`."""
+
+    CASES = [
+        (["spectrum", "--cross-section", "circle:3", "--lambda-max", "20"],
+         {"cross_section": "circle:3", "format": "json", "lambda_max": 20.0}),
+        (["count", "--cross-section", "sphere:2", "--lambda", "2", "6"],
+         {"cross_section": "sphere:2", "format": "json", "lam": [2.0, 6.0],
+          "lambda": [2.0, 6.0]}),
+        (["hk", "--cross-section", "sphere:2", "--n", "3", "--k", "2.5"],
+         {"cross_section": "sphere:2", "format": "json", "n": 3, "k": 2.5}),
+        (["hk", "--cross-section", "sphere:2", "--n", "3", "--k-max", "3"],
+         {"cross_section": "sphere:2", "format": "json", "n": 3,
+          "k_max": 3.0}),
+        (["weyl", "--cross-section", "sphere:2", "--n", "3",
+          "--lambda", "100"],
+         {"cross_section": "sphere:2", "format": "json", "n": 3,
+          "lam": [100.0], "lambda": [100.0]}),
+        (["asymptotic", "--cross-section", "circle:3", "--n", "2",
+          "--k", "2.5", "40.5"],
+         {"cross_section": "circle:3", "format": "json", "n": 2,
+          "k": [2.5, 40.5]}),
+        (["collapsed", "--cross-section", "sphere:1", "--n", "3", "--m", "2",
+          "--k", "1.5"],
+         {"cross_section": "sphere:1", "format": "json", "n": 3, "m": 2,
+          "k": 1.5}),
+        (["frequency", "--harmonic", "{harmonic}", "--s", "0.5", "1"],
+         {"harmonic": "{harmonic}", "format": "json", "s": [0.5, 1.0]}),
+        (["three-circles", "--harmonic", "{harmonic}", "--k", "2",
+          "--s", "1", "2"],
+         {"harmonic": "{harmonic}", "format": "json", "k": 2.0,
+          "s": [1.0, 2.0]}),
+        (["verify-grid", "--mode", "1", "1", "1"],
+         {"mode": [1.0, 1.0, 1.0], "length": TWO_PI, "window": [0.5, 1.5],
+          "resolutions": [32, 64, 128], "format": "json"}),
+        (["selftest"], {"seed": 42, "format": "json"}),
+    ]
+
+    @pytest.mark.parametrize("argv, config", CASES,
+                             ids=[_argv_id(argv) for argv, _ in CASES])
+    def test_config_echoes_the_parsed_options(self, capsys, harmonic_file,
+                                              argv, config):
+        code, doc = run_json(
+            capsys, *(a.format(harmonic=harmonic_file) for a in argv))
+        assert code == EXIT_OK
+        assert doc["config"] == {
+            key: value.format(harmonic=harmonic_file)
+            if isinstance(value, str) else value
+            for key, value in config.items()}
 
 
 class TestInProcessReuse:
